@@ -2,7 +2,8 @@
 //
 // Times the kernels every experiment in the paper reduces to — GEMM
 // (spike-sparse and dense LeNet-5 shapes), conv forward/backward, a full SNN
-// forward at T in {10, 50}, and a 10-step PGD iteration — and emits
+// forward at T in {10, 50}, a full-window serving run (AnytimeRunner, T=16,
+// batch 1), and a 10-step PGD iteration — and emits
 // BENCH_hotpath.json (median-of-k ns/op plus GFLOP/s where flops are
 // well-defined) so the perf trajectory is CI-diffable instead of anecdotal.
 //
@@ -27,6 +28,7 @@
 
 #include "attacks/pgd.hpp"
 #include "nn/conv2d.hpp"
+#include "snn/anytime.hpp"
 #include "snn/lif_layer.hpp"
 #include "snn/spiking_lenet.hpp"
 #include "tensor/gemm.hpp"
@@ -359,6 +361,25 @@ int run(int argc, char** argv) {
     r.ns_op = median_ns(r.reps, 1, [&] {
       Tensor logits = model->logits(x);
     });
+    results.push_back(r);
+  }
+
+  // ---- The serving step: one full-window AnytimeRunner::run at batch 1 on
+  // the same half-scale model with T=16 (the served cell's window) — the
+  // per-batch weight pack in begin() plus sixteen step() calls.
+  {
+    nn::LenetSpec arch = nn::LenetSpec{}.scaled(0.5);
+    arch.image_size = 16;
+    snn::SnnConfig cfg;
+    cfg.time_steps = 16;
+    util::Rng mrng(9);
+    auto model = snn::build_spiking_lenet(arch, cfg, mrng);
+    snn::AnytimeRunner runner(*model);
+    const Tensor x = sparse_image(Shape{1, 1, 16, 16}, mrng);
+    Result r;
+    r.name = "anytime_step_T16";
+    r.reps = quick ? 31 : 101;
+    r.ns_op = median_ns(r.reps, 3, [&] { runner.run(x); });
     results.push_back(r);
   }
 

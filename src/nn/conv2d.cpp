@@ -81,6 +81,30 @@ void Conv2d::resolve_kernel() {
     SNNSEC_COUNTER_ADD("tensor.gemm.kernel.dense", 1);
 }
 
+void Conv2d::pack_weight(Tensor& packed) const {
+  const std::int64_t patch = weight_.value.dim(1);
+  const std::int64_t cout = spec_.out_channels;
+  if (packed.ndim() != 2 || packed.dim(0) != patch || packed.dim(1) != cout)
+    packed = Tensor(Shape{patch, cout});
+  tensor::pack_events_operand(Trans::kYes, patch, cout, weight_.value.data(),
+                              patch, packed.data());
+}
+
+void Conv2d::forward_into_packed(const Tensor& x, const Tensor& packed,
+                                 Tensor& y) {
+  SNNSEC_CHECK(x.ndim() == 4 && x.dim(1) == spec_.in_channels,
+               name() << ": bad input shape " << x.shape().to_string());
+  SNNSEC_CHECK(input_hint_ == tensor::SparsityHint::kEvents,
+               name() << ": forward_into_packed on a layer resolved to the "
+                         "dense lowering");
+  SNNSEC_CHECK(packed.ndim() == 2 && packed.dim(0) == weight_.value.dim(1) &&
+                   packed.dim(1) == spec_.out_channels,
+               name() << ": packed weight " << packed.shape().to_string()
+                      << " is not from pack_weight");
+  resolve_kernel();
+  forward_events(x, packed.data(), y, geometry(x.dim(2), x.dim(3)));
+}
+
 /// Event-driven eval forward: scatter-accumulate value-scaled W^T rows into
 /// the transposed output for every nonzero input pixel —
 ///   Ct [N*OHW, Cout] += x[i, c, iy, ix] * W^T[patch position, :]
@@ -90,7 +114,7 @@ void Conv2d::resolve_kernel() {
 /// classic im2col lowering leaves it in B where no row skip can see it,
 /// and materializing per-patch event lists (build_conv_events) would
 /// duplicate every spike up to KH*KW-fold.
-void Conv2d::forward_events(const Tensor& x, Tensor& y,
+void Conv2d::forward_events(const Tensor& x, const float* wt, Tensor& y,
                             const ConvGeometry& g) {
   const std::int64_t n = x.dim(0);
   const std::int64_t oh = g.out_h();
@@ -103,7 +127,7 @@ void Conv2d::forward_events(const Tensor& x, Tensor& y,
   float* pct = ws.alloc<float>(static_cast<std::size_t>(n * ohw * cout));
   {
     SNNSEC_TRACE_SCOPE("conv.event_scatter");
-    tensor::conv_events(g, x.data(), n, weight_.value.data(), cout, pct, ws);
+    tensor::conv_events_packed(g, x.data(), n, wt, cout, pct, ws);
   }
 
   if (y.ndim() != 4 || y.dim(0) != n || y.dim(1) != cout || y.dim(2) != oh ||
@@ -146,7 +170,13 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, Mode mode) {
     // dense column matrix anyway (backward consumes it), so they keep the
     // classic lowering. The choice is fixed per (layer, mode) — no data
     // probe, no mid-run flips.
-    forward_events(x, y, g);
+    const std::int64_t cout = spec_.out_channels;
+    util::Workspace& ws = util::Workspace::local();
+    util::Workspace::Scope scope(ws);
+    float* wt = ws.alloc<float>(static_cast<std::size_t>(patch * cout));
+    tensor::pack_events_operand(Trans::kYes, patch, cout,
+                                weight_.value.data(), patch, wt);
+    forward_events(x, wt, y, g);
     return;
   }
 

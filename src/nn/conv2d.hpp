@@ -41,6 +41,18 @@ class Conv2d final : public Layer {
   /// returns) that is likewise reused across calls of the same shape.
   void forward_into(const tensor::Tensor& x, tensor::Tensor& y, Mode mode);
 
+  /// Pack the live weight into the event scatter's operand layout, W^T
+  /// [patch, Cout], sizing `packed` only when its geometry differs. The pack
+  /// is a snapshot: callers refill it whenever the weight may have changed
+  /// (AnytimeRunner does so once per batch, in begin()).
+  void pack_weight(tensor::Tensor& packed) const;
+
+  /// Eval-mode event forward with a weight packed by pack_weight. Requires
+  /// the layer to be resolved to kEvents; bit-identical to
+  /// forward_into(x, y, Mode::kEval) for the same weight values.
+  void forward_into_packed(const tensor::Tensor& x,
+                           const tensor::Tensor& packed, tensor::Tensor& y);
+
   tensor::Tensor backward(const tensor::Tensor& grad_out) override;
   std::vector<Parameter*> parameters() override;
   std::string name() const override;
@@ -71,8 +83,8 @@ class Conv2d final : public Layer {
  private:
   tensor::ConvGeometry geometry(std::int64_t h, std::int64_t w) const;
   void resolve_kernel();  ///< first-forward latch + tensor.gemm.kernel metric
-  void forward_events(const tensor::Tensor& x, tensor::Tensor& y,
-                      const tensor::ConvGeometry& g);
+  void forward_events(const tensor::Tensor& x, const float* wt,
+                      tensor::Tensor& y, const tensor::ConvGeometry& g);
 
   Conv2dSpec spec_;
   bool has_bias_;

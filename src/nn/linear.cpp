@@ -108,7 +108,17 @@ void Linear::forward_into(const Tensor& x, Tensor& y) {
   add_bias(y);
 }
 
-void Linear::forward_into_events(const tensor::EventRows& ev, Tensor& y) {
+void Linear::pack_weight(Tensor& packed) const {
+  if (packed.ndim() != 2 || packed.dim(0) != in_features_ ||
+      packed.dim(1) != out_features_)
+    packed = Tensor(Shape{in_features_, out_features_});
+  tensor::pack_events_operand(Trans::kYes, in_features_, out_features_,
+                              weight_.value.data(), in_features_,
+                              packed.data());
+}
+
+void Linear::forward_into_events(const tensor::EventRows& ev,
+                                 const Tensor& packed, Tensor& y) {
   SNNSEC_CHECK(input_hint_ == tensor::SparsityHint::kEvents,
                "Linear::forward_into_events on a layer resolved to a dense "
                "kernel — the caller-built event lists would be dead weight");
@@ -116,13 +126,17 @@ void Linear::forward_into_events(const tensor::EventRows& ev, Tensor& y) {
                "Linear(" << in_features_ << "->" << out_features_
                          << "): event operand has " << ev.cols
                          << " columns");
+  SNNSEC_CHECK(packed.ndim() == 2 && packed.dim(0) == in_features_ &&
+                   packed.dim(1) == out_features_,
+               "Linear(" << in_features_ << "->" << out_features_
+                         << "): packed weight " << packed.shape().to_string()
+                         << " is not from pack_weight");
   resolve_kernel();
   const std::int64_t n = ev.rows;
   if (y.ndim() != 2 || y.dim(0) != n || y.dim(1) != out_features_)
     y = Tensor(Shape{n, out_features_});
-  tensor::gemm_events(ev, Trans::kYes, out_features_, 1.0f,
-                      weight_.value.data(), in_features_, 0.0f, y.data(),
-                      out_features_);
+  tensor::gemm_events_packed(ev, out_features_, 1.0f, packed.data(), 0.0f,
+                             y.data(), out_features_);
   add_bias(y);
 }
 

@@ -22,12 +22,20 @@ class Linear final : public Layer {
   /// to forward() (same kernel entry points, beta = 0 overwrite path).
   void forward_into(const tensor::Tensor& x, tensor::Tensor& y);
 
+  /// Pack the live weight into the event kernel's operand layout, W^T
+  /// [in_features, out_features], sizing `packed` only when its geometry
+  /// differs. The pack is a snapshot: callers refill it whenever the weight
+  /// may have changed (AnytimeRunner does so once per batch, in begin()).
+  void pack_weight(tensor::Tensor& packed) const;
+
   /// Event-path forward for callers that already hold the input's event
   /// lists (AnytimeRunner builds them once per time slab where the spikes
-  /// are produced). `ev` must describe a [N, in_features] operand. Requires
-  /// the layer to be resolved to kEvents; bit-identical to forward_into on
-  /// the equivalent dense tensor (same per-row kernel, same event order).
-  void forward_into_events(const tensor::EventRows& ev, tensor::Tensor& y);
+  /// are produced) and the weight packed by pack_weight. `ev` must describe
+  /// a [N, in_features] operand. Requires the layer to be resolved to
+  /// kEvents; bit-identical to forward_into on the equivalent dense tensor
+  /// (same per-row kernel, same event order, same packed values).
+  void forward_into_events(const tensor::EventRows& ev,
+                           const tensor::Tensor& packed, tensor::Tensor& y);
 
   /// Declare how this layer's input operand is populated (kDense default;
   /// kSparse for spike slabs through the zero-skip kernel; kEvents for the

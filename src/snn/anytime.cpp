@@ -89,12 +89,16 @@ AnytimeRunner::AnytimeRunner(SpikingClassifier& model, bool allow_faults)
           static_cast<double>(alif.params().lif.v_th)});
     } else if (kind == "Conv2d") {
       stage.kind = StageKind::kConv;
+      stage.packs_weight = static_cast<const nn::Conv2d&>(layer).input_hint() ==
+                           tensor::SparsityHint::kEvents;
     } else if (kind == "AvgPool2d") {
       stage.kind = StageKind::kAvgPool;
     } else if (kind == "Flatten") {
       stage.kind = StageKind::kFlatten;
     } else if (kind == "Linear") {
       stage.kind = StageKind::kLinear;
+      stage.packs_weight = static_cast<const nn::Linear&>(layer).input_hint() ==
+                           tensor::SparsityHint::kEvents;
     } else if (kind == "LiReadout") {
       auto& readout = static_cast<LiReadout&>(layer);
       SNNSEC_CHECK(readout.time_steps() == time_steps_,
@@ -125,9 +129,8 @@ AnytimeRunner::AnytimeRunner(SpikingClassifier& model, bool allow_faults)
   // is topology-derived at construction — which stages hand off never
   // depends on the data flowing through them.
   for (std::size_t i = 0; i < stages_.size(); ++i) {
-    if (stages_[i].kind != StageKind::kLinear) continue;
-    const auto& lin = static_cast<const nn::Linear&>(*stages_[i].layer);
-    if (lin.input_hint() != tensor::SparsityHint::kEvents) continue;
+    if (stages_[i].kind != StageKind::kLinear || !stages_[i].packs_weight)
+      continue;
     std::size_t j = i;
     while (j > 0 && stages_[j - 1].kind == StageKind::kFlatten) --j;
     if (j == 0) continue;
@@ -161,6 +164,14 @@ void AnytimeRunner::begin(const Tensor& x) {
                                       "which anytime stepping bypasses "
                                       "(construct with allow_faults to opt "
                                       "into the per-step chaos replay)");
+  }
+  // The once-per-batch weight pack: step() only reads s.packed.
+  for (Stage& s : stages_) {
+    if (!s.packs_weight) continue;
+    if (s.kind == StageKind::kConv)
+      static_cast<const nn::Conv2d&>(*s.layer).pack_weight(s.packed);
+    else
+      static_cast<const nn::Linear&>(*s.layer).pack_weight(s.packed);
   }
   ensure_like(input_, x);
   std::copy(x.data(), x.data() + x.numel(), input_.data());
@@ -268,8 +279,11 @@ void AnytimeRunner::step() {
         break;
       }
       case StageKind::kConv: {
-        static_cast<nn::Conv2d&>(*s.layer).forward_into(*cur, s.out,
-                                                        nn::Mode::kEval);
+        auto& conv = static_cast<nn::Conv2d&>(*s.layer);
+        if (s.packs_weight)
+          conv.forward_into_packed(*cur, s.packed, s.out);
+        else
+          conv.forward_into(*cur, s.out, nn::Mode::kEval);
         break;
       }
       case StageKind::kAvgPool: {
@@ -284,15 +298,21 @@ void AnytimeRunner::step() {
       }
       case StageKind::kLinear: {
         auto& lin = static_cast<nn::Linear&>(*s.layer);
-        if (s.event_source >= 0)
-          // Consume the event lists the producing spiking stage built this
-          // step — same slab values, same build order, so the result is
-          // bit-identical to lin.forward_into on the dense slab.
-          lin.forward_into_events(
-              stages_[static_cast<std::size_t>(s.event_source)].events,
-              s.out);
-        else
+        if (!s.packs_weight) {
           lin.forward_into(*cur, s.out);
+          break;
+        }
+        // Consume the event lists the producing spiking stage built this
+        // step (or build them here when no spiking stage feeds this layer)
+        // — same slab values, same build order, so the result is
+        // bit-identical to lin.forward_into on the dense slab.
+        const std::int64_t rows = cur->dim(0);
+        const std::int64_t cols = cur->numel() / rows;
+        const tensor::EventRows ev =
+            s.event_source >= 0
+                ? stages_[static_cast<std::size_t>(s.event_source)].events
+                : tensor::build_event_rows(cur->data(), cols, rows, cols, ws);
+        lin.forward_into_events(ev, s.packed, s.out);
         break;
       }
       case StageKind::kReadout: {

@@ -17,12 +17,21 @@
 // geometry changes, so a warm runner performs zero heap allocations per
 // step — the property bench_serve asserts with its operator-new hook.
 //
+// Weight-stationary stepping: every conv/linear resolved to an event kernel
+// gets its weight packed into the kernel's operand layout ONCE per batch, in
+// begin(), never inside step(). Weights are read-only for the length of a
+// batch — the serving loop runs its chaos hook before begin(), a supervisor
+// respawn builds a new runner, and no optimizer step or checkpoint load
+// overlaps a batch — so the pack needs no version stamp, cache key or
+// invalidation: it is rebuilt from the live Parameter values at every batch
+// boundary.
+//
 // Bit-identity with the one-shot path: every stage reuses the exact
 // per-step math of the corresponding layer (lif_step / alif_step / li_step
 // / the layers' own forward_into entry points), and each conv/linear runs
 // whatever kernel the layer resolved at build time — dense GEMM or the
-// event-accumulate kernel — identically in both paths; the sticky
-// resolution rule (DESIGN.md §14) guarantees the choice never differs
+// event kernel on the same packed values — identically in both paths; the
+// sticky resolution rule (DESIGN.md §14) guarantees the choice never differs
 // between one-shot and stepped execution. The LIF recurrences are
 // elementwise and the event kernel computes each output row independently,
 // so stepping time outside the layers reorders no floating-point
@@ -65,15 +74,20 @@ class AnytimeRunner {
   /// Compiles `model`'s layer stack into a stage table. The model must be
   /// a constant-current-encoded spiking stack ending in LiReadout; throws
   /// util::Error otherwise. The runner borrows the model (weights are read
-  /// through the live layers each step) — it must outlive the runner.
+  /// through the live layers at every begin()) — it must outlive the
+  /// runner.
   /// `allow_faults` opts into chaos mode: armed LifLayer spike faults are
   /// replayed per step instead of rejected (see the header comment).
   explicit AnytimeRunner(SpikingClassifier& model, bool allow_faults = false);
 
-  /// Start a new request: latch the input batch [N, C, H, W] and reset all
-  /// neuron state. Rejects armed spike faults on any LIF layer unless the
-  /// runner was constructed with allow_faults; with it, each armed layer's
-  /// fault spec is latched here for the lifetime of the request.
+  /// Start a new request: latch the input batch [N, C, H, W], reset all
+  /// neuron state and pack every event-kernel weight operand from the live
+  /// parameters. Weights are read-only for the length of a batch, so any
+  /// mutation made before begin() (optimizer step, checkpoint load, fault
+  /// injection) is seen by that batch. Rejects armed spike faults on any LIF
+  /// layer unless the runner was constructed with allow_faults; with it,
+  /// each armed layer's fault spec is latched here for the lifetime of the
+  /// request.
   void begin(const tensor::Tensor& x);
 
   bool allow_faults() const { return allow_faults_; }
@@ -142,6 +156,11 @@ class AnytimeRunner {
     bool build_events = false;
     int event_source = -1;  ///< producer stage index (kLinear consumers)
     tensor::EventRows events;
+    // Weight-stationary operand (conv/linear stages resolved to kEvents):
+    // the layer's weight in the event kernel's packed layout, refilled from
+    // the live Parameter by every begin() and only read by step().
+    bool packs_weight = false;
+    tensor::Tensor packed;
     // Chaos mode (allow_faults) only — all empty on the healthy path.
     SpikeFault fault;               ///< latched at begin() (LIF stages)
     bool fault_active = false;      ///< fault.any() as of the last begin()

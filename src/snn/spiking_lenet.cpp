@@ -48,21 +48,24 @@ std::unique_ptr<SpikingClassifier> build_spiking_lenet(
   auto net = std::make_unique<nn::Sequential>();
   // Kernel resolution is declared here from each GEMM operand's ROLE in
   // the architecture — never probed from runtime data — and is sticky for
-  // the layer's lifetime (DESIGN.md §14). Two roles appear in this stack:
+  // the layer's lifetime (DESIGN.md §14). Every conv/linear input in this
+  // stack is an event operand:
   //   - spike slabs (the encoder's output feeding conv1, the hidden
   //     spiking layers' slabs feeding fc1/fc2): binary and mostly silent
-  //     at SNN operating points -> the event kernel;
+  //     at SNN operating points;
   //   - pooled rate maps (AvgPool2d output feeding conv2/conv3): 2x2
-  //     averages of spikes are real-valued and mostly NONZERO by
-  //     construction (one firing site lights the whole window), so they
-  //     keep the dense blocked kernel — declaring them "sparse" because a
-  //     probe once saw zeros is exactly the data-dependent dispatch this
-  //     design forbids.
-  auto spike_fed_conv = [&net] {
+  //     averages of spikes, so values are graded (0.25 steps) but zero
+  //     wherever no window site fired. The perfbench traced run
+  //     (snn.layer.conv{2,3}.in_density, serve_open on a trained (1.0, 16)
+  //     cell) measures them at about 23% and 24% nonzero, and the event
+  //     scatter already takes value-scaled events.
+  // The role, not the batch at hand, picks the kernel; a probe that saw
+  // zeros once is exactly the data-dependent dispatch this design forbids.
+  auto events_fed_conv = [&net] {
     static_cast<nn::Conv2d&>(net->layer(net->size() - 1))
         .set_input_hint(tensor::SparsityHint::kEvents);
   };
-  auto spike_fed_fc = [&net] {
+  auto events_fed_fc = [&net] {
     static_cast<nn::Linear&>(net->layer(net->size() - 1))
         .set_input_hint(tensor::SparsityHint::kEvents);
   };
@@ -79,27 +82,29 @@ std::unique_ptr<SpikingClassifier> build_spiking_lenet(
   // conv1 -> LIF -> pool
   net->emplace<nn::Conv2d>(
       nn::Conv2dSpec{spec.in_channels, spec.conv1_channels, 5, 1, 2}, rng);
-  spike_fed_conv();
+  events_fed_conv();
   net->add(make_spiking());
   net->emplace<nn::AvgPool2d>(2);
-  // conv2 -> LIF -> pool (input: pooled rate map -> dense by role)
+  // conv2 -> LIF -> pool (input: pooled rate map -> events)
   net->emplace<nn::Conv2d>(
       nn::Conv2dSpec{spec.conv1_channels, spec.conv2_channels, 5, 1, 2}, rng);
+  events_fed_conv();
   net->add(make_spiking());
   net->emplace<nn::AvgPool2d>(2);
-  // conv3 -> LIF (input: pooled rate map -> dense by role)
+  // conv3 -> LIF (input: pooled rate map -> events)
   net->emplace<nn::Conv2d>(
       nn::Conv2dSpec{spec.conv2_channels, spec.conv3_channels, 3, 1, 1}, rng);
+  events_fed_conv();
   net->add(make_spiking());
   // classifier head
   net->emplace<nn::Flatten>();
   const std::int64_t flat =
       spec.conv3_channels * spec.pooled_size() * spec.pooled_size();
   net->emplace<nn::Linear>(flat, spec.fc_hidden, rng);
-  spike_fed_fc();
+  events_fed_fc();
   net->add(make_spiking());
   net->emplace<nn::Linear>(spec.fc_hidden, spec.num_classes, rng);
-  spike_fed_fc();
+  events_fed_fc();
   net->emplace<LiReadout>(t, lif);
 
   // Rescale weight inits so synaptic currents reach the threshold's working

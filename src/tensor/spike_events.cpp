@@ -227,22 +227,17 @@ EventRows build_conv_events(const ConvGeometry& g, const float* images,
   return ev;
 }
 
-void conv_events(const ConvGeometry& g, const float* images,
-                 std::int64_t batch, const float* w, std::int64_t cout,
-                 float* ct, util::Workspace& ws) {
+void conv_events_packed(const ConvGeometry& g, const float* images,
+                        std::int64_t batch, const float* wt, std::int64_t cout,
+                        float* ct, util::Workspace& ws) {
   SNNSEC_CHECK(batch >= 0 && cout > 0,
                "conv_events: bad batch=" << batch << " cout=" << cout);
   const std::int64_t oh = g.out_h();
   const std::int64_t ow = g.out_w();
   const std::int64_t ohw = oh * ow;
-  const std::int64_t patch = g.patch_size();
   SNNSEC_COUNTER_ADD("tensor.gemm.calls", 1);
   SNNSEC_COUNTER_ADD("tensor.gemm.events_path", 1);
   util::Workspace::Scope scope(ws);
-  // Pack W^T [patch, cout] once so the scatter's inner FMA is unit-stride.
-  float* wt = ws.alloc<float>(static_cast<std::size_t>(patch * cout));
-  for (std::int64_t p = 0; p < patch; ++p)
-    for (std::int64_t j = 0; j < cout; ++j) wt[p * cout + j] = w[j * patch + p];
   // Scanline event lists for the whole batch: each input pixel read once.
   const EventRows in_ev = build_event_rows(
       images, g.width, batch * g.channels * g.height, g.width, ws);
@@ -259,21 +254,18 @@ void conv_events(const ConvGeometry& g, const float* images,
   });
 }
 
-void gemm_events(const EventRows& ev, Trans trans_b, std::int64_t n,
-                 float alpha, const float* b, std::int64_t ldb, float beta,
-                 float* c, std::int64_t ldc) {
-  if (ev.rows <= 0 || n <= 0) return;
-  SNNSEC_CHECK(ev.count != nullptr && ev.index != nullptr &&
-                   ev.value != nullptr && ev.stride >= 0,
-               "gemm_events: uninitialized EventRows");
-  const std::int64_t k = ev.cols;
-  SNNSEC_COUNTER_ADD("tensor.gemm.calls", 1);
-  SNNSEC_COUNTER_ADD("tensor.gemm.events_path", 1);
-  util::Workspace& ws = util::Workspace::local();
+void conv_events(const ConvGeometry& g, const float* images,
+                 std::int64_t batch, const float* w, std::int64_t cout,
+                 float* ct, util::Workspace& ws) {
+  const std::int64_t patch = g.patch_size();
   util::Workspace::Scope scope(ws);
-  // Pack op(B) contiguous [k, n] once, exactly as the zero-skip kernel does,
-  // so the per-event row streams are unit-stride.
-  float* bp = ws.alloc<float>(static_cast<std::size_t>(k * n));
+  float* wt = ws.alloc<float>(static_cast<std::size_t>(patch * cout));
+  pack_events_operand(Trans::kYes, patch, cout, w, patch, wt);
+  conv_events_packed(g, images, batch, wt, cout, ct, ws);
+}
+
+void pack_events_operand(Trans trans_b, std::int64_t k, std::int64_t n,
+                         const float* b, std::int64_t ldb, float* bp) {
   if (trans_b == Trans::kNo && ldb == n) {
     std::copy(b, b + k * n, bp);
   } else if (trans_b == Trans::kNo) {
@@ -283,7 +275,18 @@ void gemm_events(const EventRows& ev, Trans trans_b, std::int64_t n,
     for (std::int64_t kk = 0; kk < k; ++kk)
       for (std::int64_t j = 0; j < n; ++j) bp[kk * n + j] = b[j * ldb + kk];
   }
+}
 
+void gemm_events_packed(const EventRows& ev, std::int64_t n, float alpha,
+                        const float* bp, float beta, float* c,
+                        std::int64_t ldc) {
+  if (ev.rows <= 0 || n <= 0) return;
+  SNNSEC_CHECK(ev.count != nullptr && ev.index != nullptr &&
+                   ev.value != nullptr && ev.stride >= 0,
+               "gemm_events: uninitialized EventRows");
+  const std::int64_t k = ev.cols;
+  SNNSEC_COUNTER_ADD("tensor.gemm.calls", 1);
+  SNNSEC_COUNTER_ADD("tensor.gemm.events_path", 1);
   const std::int32_t* cnt = ev.count;
   const std::int32_t* idx = ev.index;
   const float* val = ev.value;
@@ -302,6 +305,18 @@ void gemm_events(const EventRows& ev, Trans trans_b, std::int64_t n,
     row_panel(0, ev.rows);
   else
     util::parallel_for_chunked(0, ev.rows, row_panel);
+}
+
+void gemm_events(const EventRows& ev, Trans trans_b, std::int64_t n,
+                 float alpha, const float* b, std::int64_t ldb, float beta,
+                 float* c, std::int64_t ldc) {
+  if (ev.rows <= 0 || n <= 0) return;
+  const std::int64_t k = ev.cols;
+  util::Workspace& ws = util::Workspace::local();
+  util::Workspace::Scope scope(ws);
+  float* bp = ws.alloc<float>(static_cast<std::size_t>(k * n));
+  pack_events_operand(trans_b, k, n, b, ldb, bp);
+  gemm_events_packed(ev, n, alpha, bp, beta, c, ldc);
 }
 
 }  // namespace snnsec::tensor

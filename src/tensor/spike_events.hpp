@@ -79,8 +79,9 @@ EventRows build_conv_events(const ConvGeometry& g, const float* images,
 /// accumulates its value-scaled weight row into every receptive-field
 /// window it occupies — instead of materializing per-patch lists. Work and
 /// memory traffic scale with input events x KH*KW x cout; silent scanlines
-/// cost one count load. `w` is the [cout, patch] GEMM-ready weight matrix
-/// (packed transposed internally). Result equals
+/// cost one count load. `wt` is the weight packed as W^T [patch, cout] by
+/// pack_events_operand(Trans::kYes, patch, cout, w, patch, wt) from the
+/// [cout, patch] GEMM-ready matrix. Result equals
 /// gemm_events(build_conv_events(...), Trans::kYes, ...) up to summation
 /// association (each output element still accumulates in ascending patch
 /// order, but one event at a time rather than four-way grouped).
@@ -89,15 +90,37 @@ EventRows build_conv_events(const ConvGeometry& g, const float* images,
 /// only) and events within a sample apply in (c, iy, ix) scan order, so
 /// results are bit-identical across batch sizes, call counts, and thread
 /// counts.
+void conv_events_packed(const ConvGeometry& g, const float* images,
+                        std::int64_t batch, const float* wt, std::int64_t cout,
+                        float* ct, util::Workspace& ws);
+
+/// conv_events_packed with the W^T pack done per call from the [cout, patch]
+/// weight matrix `w` (workspace scratch). Same kernel, same bits.
 void conv_events(const ConvGeometry& g, const float* images,
                  std::int64_t batch, const float* w, std::int64_t cout,
                  float* ct, util::Workspace& ws);
 
-/// C = alpha * E * op(B) + beta * C, where E is the [rows, cols] operand
-/// described by `ev` and op(B) is [cols, n]. Same stride semantics as
+/// Pack op(B) [k, n] contiguous into `bp` (k*n floats): bp[p*n + j] =
+/// op(B)[p, j], with op(B)[p, j] at b[p*ldb + j] (kNo) or b[j*ldb + p]
+/// (kYes). This is the weight operand every event kernel streams rows of:
+/// a Linear's W^T (kYes over its [out, in] weight) and a conv's W^T (kYes
+/// over its [cout, patch] weight). Weights are constant while a serving
+/// batch runs, so AnytimeRunner packs once per batch instead of per step.
+void pack_events_operand(Trans trans_b, std::int64_t k, std::int64_t n,
+                         const float* b, std::int64_t ldb, float* bp);
+
+/// C = alpha * E * P + beta * C, where E is the [rows, cols] operand
+/// described by `ev` and P = bp is the packed [cols, n] operand from
+/// pack_events_operand. C row i starts at c[i*ldc]. Rows are computed
+/// independently — serial and parallel execution are bit-identical.
+void gemm_events_packed(const EventRows& ev, std::int64_t n, float alpha,
+                        const float* bp, float beta, float* c,
+                        std::int64_t ldc);
+
+/// C = alpha * E * op(B) + beta * C with op(B) packed per call (workspace
+/// scratch) and handed to gemm_events_packed. Same stride semantics as
 /// gemm_raw: op(B)[p,j] lives at b[p*ldb + j] (kNo) or b[j*ldb + p] (kYes);
-/// C row i starts at c[i*ldc]. Rows are computed independently — serial and
-/// parallel execution are bit-identical.
+/// C row i starts at c[i*ldc].
 void gemm_events(const EventRows& ev, Trans trans_b, std::int64_t n,
                  float alpha, const float* b, std::int64_t ldb, float beta,
                  float* c, std::int64_t ldc);

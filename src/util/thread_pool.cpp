@@ -146,11 +146,12 @@ void detail::parallel_for_chunked_impl(
         std::lock_guard lock(error_mutex);
         if (!failed.exchange(true)) first_error = std::current_exception();
       }
-      {
-        // NOLINTNEXTLINE(snnsec-hot-path-lock): completion count, O(1) critical section
-        std::lock_guard lock(done_mutex);
-        ++done;
-      }
+      // Notify while still holding done_mutex: the caller's wait cannot
+      // observe done == launched, return and destroy the stack-resident cv
+      // until this critical section ends, i.e. after the notify is done.
+      // NOLINTNEXTLINE(snnsec-hot-path-lock): completion count, O(1) critical section
+      std::lock_guard lock(done_mutex);
+      ++done;
       done_cv.notify_one();
     });
   }

@@ -2,9 +2,25 @@
 // t = T, and truncated logits must be a deterministic prefix property.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "faults/fault.hpp"
+#include "nn/activations.hpp"
+#include "nn/flatten.hpp"
+#include "nn/linear.hpp"
+#include "nn/optimizer.hpp"
+#include "nn/pooling.hpp"
+#include "serve/server.hpp"
 #include "snn/anytime.hpp"
+#include "snn/encoder.hpp"
+#include "snn/li_readout.hpp"
+#include "snn/model_io.hpp"
 #include "snn/spiking_lenet.hpp"
 #include "tensor/ops.hpp"
 #include "util/error.hpp"
@@ -16,18 +32,45 @@ namespace {
 using tensor::Shape;
 using tensor::Tensor;
 
-std::unique_ptr<SpikingClassifier> make_model(
-    std::int64_t t = 7, NeuronModel neuron = NeuronModel::kLif,
-    double input_gain = 3.0) {
+nn::LenetSpec test_arch() {
   nn::LenetSpec arch = nn::LenetSpec{}.scaled(0.25);
   arch.image_size = 8;
+  return arch;
+}
+
+SnnConfig test_config(std::int64_t t = 7,
+                      NeuronModel neuron = NeuronModel::kLif,
+                      double input_gain = 3.0) {
   SnnConfig cfg;
   cfg.v_th = 1.1;
   cfg.time_steps = t;
   cfg.neuron_model = neuron;
   cfg.input_gain = input_gain;
+  return cfg;
+}
+
+std::unique_ptr<SpikingClassifier> make_model(
+    std::int64_t t = 7, NeuronModel neuron = NeuronModel::kLif,
+    double input_gain = 3.0) {
   util::Rng rng(42);
-  return build_spiking_lenet(arch, cfg, rng);
+  return build_spiking_lenet(test_arch(), test_config(t, neuron, input_gain),
+                             rng);
+}
+
+/// A configuration in which spikes reach every layer within the window: on
+/// the default one the hidden layers past conv1 stay silent for T = 7, so
+/// the logits would not depend on most weights. Here every spiking layer
+/// fires (rates ~0.7/0.7/0.1/0.2/0.1 on random_batch inputs).
+SnnConfig active_config() {
+  SnnConfig cfg = test_config(12);
+  cfg.v_th = 0.25;
+  cfg.weight_gain = 6.0;
+  return cfg;
+}
+
+std::unique_ptr<SpikingClassifier> make_active_model(std::uint64_t seed = 42) {
+  util::Rng rng(seed);
+  return build_spiking_lenet(test_arch(), active_config(), rng);
 }
 
 Tensor random_batch(std::int64_t n, std::uint64_t seed = 7) {
@@ -43,6 +86,24 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b) {
     EXPECT_EQ(a.data()[i], b.data()[i]) << "element " << i;
 }
 
+bool same_bytes(const float* a, const float* b, std::int64_t n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(float)) == 0;
+}
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() && same_bytes(a.data(), b.data(), a.numel());
+}
+
+/// Negate every conv/linear weight — a sign-bit flip of each weight word,
+/// which reaches every weight the runner packs.
+void flip_weight_signs(SpikingClassifier& model) {
+  for (nn::Parameter* p : model.parameters()) {
+    if (p->name != "weight") continue;
+    float* v = p->value.data();
+    for (std::int64_t i = 0; i < p->value.numel(); ++i) v[i] = -v[i];
+  }
+}
+
 TEST(AnytimeRunner, FullWindowMatchesOneShotBitwise) {
   auto model = make_model();
   const Tensor x = random_batch(3);
@@ -53,6 +114,41 @@ TEST(AnytimeRunner, FullWindowMatchesOneShotBitwise) {
   EXPECT_TRUE(runner.done());
   EXPECT_EQ(runner.steps_done(), model->time_steps());
   expect_bitwise_equal(stepped, one_shot);
+}
+
+TEST(AnytimeRunner, FullWindowMatchesOneShotWhenEveryLayerFires) {
+  auto model = make_active_model();
+  const Tensor x = random_batch(3);
+  const Tensor one_shot = model->logits(x);
+  for (double rate : model->spike_rates()) EXPECT_GT(rate, 0.0);
+
+  AnytimeRunner runner(*model);
+  expect_bitwise_equal(runner.run(x), one_shot);
+}
+
+TEST(AnytimeRunner, EventLinearWithoutSpikingProducerMatchesOneShot) {
+  // An event-resolved Linear fed by a pooled map (no LIF/ALIF stage right
+  // before it) builds its event lists inside the step, still on the weight
+  // begin() packed.
+  const std::int64_t t = 6;
+  LifParameters lif;
+  lif.v_th = 0.25f;
+  util::Rng rng(5);
+  auto net = std::make_unique<nn::Sequential>();
+  net->emplace<nn::Scale>(3.0f);
+  net->add(make_constant_current_encoder(t, lif, Surrogate{}));
+  net->emplace<nn::AvgPool2d>(2);
+  net->emplace<nn::Flatten>();
+  net->emplace<nn::Linear>(16, 10, rng);
+  static_cast<nn::Linear&>(net->layer(net->size() - 1))
+      .set_input_hint(tensor::SparsityHint::kEvents);
+  net->emplace<LiReadout>(t, lif);
+  SpikingClassifier model(std::move(net), t, 10, "pooled-event head");
+
+  const Tensor x = random_batch(3, 71);
+  const Tensor one_shot = model.logits(x);
+  AnytimeRunner runner(model);
+  expect_bitwise_equal(runner.run(x), one_shot);
 }
 
 TEST(AnytimeRunner, FullWindowMatchesOneShotAlif) {
@@ -198,6 +294,119 @@ TEST(AnytimeRunner, AllowFaultsOptsIntoArmedSpikeFaults) {
           .set_spike_fault(SpikeFault{});
   AnytimeRunner healed(*model);
   expect_bitwise_equal(healed.run(x, model->time_steps()), clean);
+}
+
+// Staleness: the runner packs event-kernel weights once per batch, in
+// begin(). A weight mutation between two batches must be seen by the next
+// batch exactly as the one-shot forward of the mutated model sees it.
+
+TEST(AnytimeRunnerStaleness, OptimizerStepIsSeenByTheNextBatch) {
+  auto model = make_active_model();
+  const Tensor x = random_batch(3, 61);
+  AnytimeRunner runner(*model);
+  const Tensor before = runner.run(x);
+
+  nn::Sgd::Config sgd;
+  sgd.lr = 0.5;
+  nn::Sgd opt(model->parameters(), sgd);
+  model->train_batch(x, {1, 4, 7}, opt);
+
+  const Tensor want = model->logits(x);
+  EXPECT_FALSE(same_bytes(want, before)) << "the step must move the logits";
+  EXPECT_TRUE(same_bytes(runner.run(x), want));
+}
+
+TEST(AnytimeRunnerStaleness, ScopedFaultWeightFlipsAreSeenAndUndone) {
+  auto model = make_active_model();
+  const Tensor x = random_batch(3, 63);
+  AnytimeRunner runner(*model);
+  const Tensor clean = runner.run(x);
+  {
+    faults::ScopedFault flips(
+        *model, {faults::FaultKind::kWeightBitflip, 0.002, 17});
+    ASSERT_GT(flips.injected(), 0u);
+    const Tensor want = model->logits(x);
+    EXPECT_FALSE(same_bytes(want, clean)) << "the flips must move the logits";
+    EXPECT_TRUE(same_bytes(runner.run(x), want));
+  }
+  // The scope restored the weights; the next batch repacks them.
+  EXPECT_TRUE(same_bytes(runner.run(x), clean));
+  EXPECT_TRUE(same_bytes(clean, model->logits(x)));
+}
+
+TEST(AnytimeRunnerStaleness, CheckpointLoadIsSeenByTheNextBatch) {
+  // A second model with other weights is saved and loaded positionally into
+  // the runner's model — the restore replaces each Parameter's tensor, so a
+  // pack keyed on the old buffers would go stale.
+  auto model = make_active_model();
+  auto other = make_active_model(/*seed=*/43);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       "snnsec_test_serve_anytime_reload.snnm")
+          .string();
+  save_spiking_lenet(path, *other, test_arch(), active_config());
+
+  const Tensor x = random_batch(2, 65);
+  AnytimeRunner runner(*model);
+  const Tensor before = runner.run(x);
+
+  const CheckpointPayload payload = load_validated_payload(path);
+  const auto params = model->parameters();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    char name[16];
+    std::snprintf(name, sizeof(name), "p%03u", static_cast<unsigned>(i));
+    params[i]->value = payload.archive.at(name);
+  }
+  std::filesystem::remove(path);
+
+  const Tensor want = model->logits(x);
+  EXPECT_TRUE(same_bytes(want, other->logits(x)));
+  EXPECT_FALSE(same_bytes(want, before)) << "the load must move the logits";
+  EXPECT_TRUE(same_bytes(runner.run(x), want));
+}
+
+TEST(AnytimeRunnerStaleness, ChaosHookWeightFlipShowsInTheSameBatch) {
+  // The serving loop runs chaos_on_batch before the batch's begin(), so a
+  // weight flip from the hook reaches the very batch it fired on. Batch 1
+  // is clean, the hook flips on batch 2 and flips back on batch 3.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       "snnsec_test_serve_anytime_chaos.snnm")
+          .string();
+  {
+    auto model = make_active_model();
+    save_spiking_lenet(path, *model, test_arch(), active_config());
+  }
+  serve::ServerConfig cfg;
+  cfg.model_path = path;
+  cfg.workers = 0;
+  std::atomic<int> batches{0};
+  cfg.chaos_on_batch = [&](const serve::ChaosContext& ctx) {
+    if (batches.fetch_add(1) >= 1) flip_weight_signs(*ctx.model);
+  };
+  serve::Server server(cfg);
+
+  auto reference = load_spiking_lenet(path);
+  SpikingClassifier& ref = *reference.model;
+  const Tensor x = random_batch(1, 67);
+  const Tensor clean = ref.logits(x);
+  flip_weight_signs(ref);
+  const Tensor flipped = ref.logits(x);
+  ASSERT_FALSE(same_bytes(clean, flipped));
+  const std::int64_t k = clean.numel();
+
+  serve::InferResult r;
+  ASSERT_TRUE(server.infer(x, serve::RequestOptions{}, r));
+  ASSERT_EQ(r.status, serve::ResultStatus::kOk);
+  EXPECT_TRUE(same_bytes(r.scores.data(), clean.data(), k)) << "batch 1";
+  ASSERT_TRUE(server.infer(x, serve::RequestOptions{}, r));
+  ASSERT_EQ(r.status, serve::ResultStatus::kOk);
+  EXPECT_TRUE(same_bytes(r.scores.data(), flipped.data(), k)) << "batch 2";
+  ASSERT_TRUE(server.infer(x, serve::RequestOptions{}, r));
+  ASSERT_EQ(r.status, serve::ResultStatus::kOk);
+  EXPECT_TRUE(same_bytes(r.scores.data(), clean.data(), k)) << "batch 3";
+  EXPECT_EQ(batches.load(), 3);
+  std::filesystem::remove(path);
 }
 
 TEST(AnytimeRunner, StepGuards) {

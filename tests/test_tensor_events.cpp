@@ -1,6 +1,7 @@
 // Event-driven spike kernels: compressed event lists, the event-accumulate
 // GEMM, both conv formulations (patch-list reference and production
-// scatter), and the probe_sparse tail-coverage regression.
+// scatter), the zero-alloc steady state of the layers and of whole
+// AnytimeRunner batches, and the probe_sparse tail-coverage regression.
 //
 // The determinism assertions here are the teeth behind DESIGN.md §14: the
 // event kernels must be bit-identical across batch sizes and serial/parallel
@@ -16,6 +17,8 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
+#include "snn/anytime.hpp"
+#include "snn/spiking_lenet.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/spike_events.hpp"
@@ -387,6 +390,43 @@ TEST(Conv2dEvents, SteadyStateIsAllocationFree) {
       << "event conv forward allocated on the steady state";
 }
 
+TEST(Conv2dEvents, PackedForwardMatchesForwardInto) {
+  // The weight-stationary entry point runs the same scatter kernel on the
+  // same W^T values as the per-call pack, so the outputs match to the bit.
+  util::Rng rng(43);
+  nn::Conv2d conv(nn::Conv2dSpec{3, 6, 3, 1, 1}, rng);
+  conv.set_input_hint(tensor::SparsityHint::kEvents);
+  const Tensor x = spike_operand(Shape{3, 3, 9, 9}, 0.25, rng);
+  Tensor packed, y_packed, y;
+  conv.pack_weight(packed);
+  conv.forward_into_packed(x, packed, y_packed);
+  conv.forward_into(x, y, nn::Mode::kEval);
+  ASSERT_EQ(y.numel(), y_packed.numel());
+  EXPECT_EQ(std::memcmp(y.data(), y_packed.data(),
+                        static_cast<std::size_t>(y.numel()) * sizeof(float)),
+            0);
+}
+
+TEST(LinearEvents, PackedForwardMatchesForwardInto) {
+  util::Rng rng(47);
+  nn::Linear fc(96, 24, rng);
+  fc.set_input_hint(tensor::SparsityHint::kEvents);
+  const Tensor x = spike_operand(Shape{5, 96}, 0.15, rng);
+  Tensor packed, y_packed, y;
+  fc.pack_weight(packed);
+  {
+    util::Workspace& ws = util::Workspace::local();
+    util::Workspace::Scope scope(ws);
+    const EventRows ev = build_event_rows(x.data(), 96, 5, 96, ws);
+    fc.forward_into_events(ev, packed, y_packed);
+  }
+  fc.forward_into(x, y);
+  ASSERT_EQ(y.numel(), y_packed.numel());
+  EXPECT_EQ(std::memcmp(y.data(), y_packed.data(),
+                        static_cast<std::size_t>(y.numel()) * sizeof(float)),
+            0);
+}
+
 TEST(LinearEvents, SteadyStateIsAllocationFree) {
   util::Rng rng(41);
   nn::Linear fc(256, 64, rng);
@@ -398,6 +438,33 @@ TEST(LinearEvents, SteadyStateIsAllocationFree) {
   for (int i = 0; i < 5; ++i) fc.forward_into(x, y);
   EXPECT_EQ(g_allocs.load() - before, 0)
       << "event linear forward allocated on the steady state";
+}
+
+TEST(AnytimeRunnerEvents, RepeatedBatchesAreAllocationFree) {
+  // The serving loop at a fixed batch size: begin() repacks every
+  // event-kernel weight (conv1-3, fc1-2) into its warm buffer and each
+  // step() runs the event conv and linear kernels on them. Once warm, whole
+  // batches must not touch the heap. The low threshold and weight gain make
+  // every spiking layer fire within the window.
+  nn::LenetSpec arch = nn::LenetSpec{}.scaled(0.25);
+  arch.image_size = 8;
+  snn::SnnConfig cfg;
+  cfg.v_th = 0.25;
+  cfg.weight_gain = 6.0;
+  cfg.time_steps = 12;
+  cfg.input_gain = 3.0;
+  util::Rng rng(43);
+  auto model = snn::build_spiking_lenet(arch, cfg, rng);
+  const Tensor x = Tensor::rand_uniform(Shape{4, 1, 8, 8}, rng);
+  snn::AnytimeRunner runner(*model);
+  for (int i = 0; i < 2; ++i) runner.run(x);
+  const std::int64_t before = g_allocs.load();
+  for (int i = 0; i < 3; ++i) {
+    runner.begin(x);
+    while (!runner.done()) runner.step();
+  }
+  EXPECT_EQ(g_allocs.load() - before, 0)
+      << "begin() + T x step() allocated on the steady state";
 }
 
 TEST(ProbeSparse, RoundedPositionsCoverTheMatrixTail) {

@@ -135,6 +135,29 @@ TEST(ParallelForChunked, PropagatesFirstExceptionWithoutHanging) {
   EXPECT_EQ(count.load(), 100);
 }
 
+TEST(ParallelForStress, ManyTinyRangesJoinCleanly) {
+  // Regression for a use-after-scope in the fan-out join: a worker bumped
+  // the completion count, released the lock and only then notified the
+  // stack-resident condition variable — by which time the caller could have
+  // seen the final count, returned and reused that stack frame. Many tiny
+  // back-to-back ranges make the window as likely as it gets; ctest also
+  // runs this test with SNNSEC_THREADS=4 (test_util_threadpool_stress) so
+  // the join is exercised on any host.
+  std::int64_t total = 0;
+  for (int round = 0; round < 20000; ++round) {
+    const std::int64_t n = 2 + round % 3;
+    std::atomic<std::int64_t> sum{0};
+    parallel_for(0, n, [&sum](std::int64_t i) { sum += i + 1; });
+    total += sum.load();
+  }
+  std::int64_t want = 0;
+  for (int round = 0; round < 20000; ++round) {
+    const std::int64_t n = 2 + round % 3;
+    want += n * (n + 1) / 2;
+  }
+  EXPECT_EQ(total, want);
+}
+
 TEST(ThreadPoolGlobal, IsSingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
   EXPECT_GE(ThreadPool::global().size(), 1u);
