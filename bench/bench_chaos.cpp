@@ -19,7 +19,8 @@
 //                 NaN storm recovered via retry, and at least one
 //                 unsupervised scenario showing >= 10% accuracy loss.
 //   stall         the hook wedges a batch well past the heartbeat timeout;
-//                 the watchdog must trip and the replica respawn.
+//                 the watchdog must trip and quarantine the replica, and
+//                 the post-batch maintenance must respawn it.
 //
 // Usage: bench_chaos [--smoke] [--out PATH]
 //   --smoke   fewer requests / smaller model / core scenarios only (CI)
@@ -149,7 +150,6 @@ struct ScenarioRow {
 serve::ServerConfig base_config(const std::string& ckpt) {
   serve::ServerConfig scfg;
   scfg.model_path = ckpt;
-  scfg.workers = 0;  // inline: deterministic batches of one
   scfg.batcher.max_batch = 8;
   scfg.batcher.max_delay_us = 200;
   scfg.batcher.capacity = 64;
@@ -381,8 +381,9 @@ int run(int argc, char** argv) {
         std::max(max_unsup_drop, baseline_acc - row.off.accuracy);
   }
   const bool gate_unsup_loss = !acc_gates_active || max_unsup_drop >= 0.10;
-  const bool gate_stall =
-      stall.stats.watchdog_trips >= 1 && stall.stats.respawns >= 1;
+  const bool gate_stall = stall.stats.watchdog_trips >= 1 &&
+                          stall.stats.quarantines >= 1 &&
+                          stall.stats.respawns >= 1;
 
   // ---- JSON.
   std::FILE* f = std::fopen(out.c_str(), "w");
@@ -413,15 +414,13 @@ int run(int argc, char** argv) {
         f,
         "    {\"name\": \"%s\", \"supervised\": {\"accuracy\": %.4f, "
         "\"detect_after_requests\": %lld, \"quarantines\": %lld, "
-        "\"respawns\": %lld, \"retries\": %lld, \"rescues\": %lld, "
-        "\"errors\": %lld}, \"unsupervised\": {\"accuracy\": %.4f, "
-        "\"errors\": %lld}}%s\n",
+        "\"respawns\": %lld, \"retries\": %lld, \"errors\": %lld}, "
+        "\"unsupervised\": {\"accuracy\": %.4f, \"errors\": %lld}}%s\n",
         row.name, row.on.accuracy,
         static_cast<long long>(row.on.detect_after),
         static_cast<long long>(row.on.stats.quarantines),
         static_cast<long long>(row.on.stats.respawns),
         static_cast<long long>(row.on.stats.retries),
-        static_cast<long long>(row.on.stats.rescues),
         static_cast<long long>(row.on.errors), row.off.accuracy,
         static_cast<long long>(row.off.errors),
         i + 1 < rows.size() ? "," : "");
@@ -469,7 +468,8 @@ int run(int argc, char** argv) {
   if (!gate_unsup_loss)
     fail("no unsupervised scenario showed measurable accuracy loss");
   if (!gate_stall)
-    fail("stalled batch was not caught by the watchdog and respawned");
+    fail("stalled batch was not caught by the watchdog, quarantined and "
+         "respawned");
   return ok ? 0 : 1;
 }
 
@@ -477,7 +477,7 @@ int run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   // Single-threaded like bench_serve, so the overhead ratio is measured on
-  // the same inline execution mode BENCH_serve.json records.
+  // the same thread count BENCH_serve.json records.
   setenv("SNNSEC_THREADS", "1", /*overwrite=*/0);
   return run(argc, argv);
 }

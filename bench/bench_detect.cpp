@@ -230,10 +230,9 @@ int run(int argc, char** argv) {
     std::printf("envelope: %s\n", envelope->summary().c_str());
   }
 
-  // ---- detector-armed server (inline mode: comparable numbers).
+  // ---- detector-armed server.
   serve::ServerConfig scfg;
   scfg.model_path = ckpt;
-  scfg.workers = 0;
   scfg.batcher.max_batch = 8;
   scfg.batcher.max_delay_us = 200;
   scfg.batcher.capacity = 64;

@@ -128,7 +128,6 @@ serve::ChaosHook make_hook(ChaosControl& ctl) {
 
 serve::ServerConfig replica_config() {
   serve::ServerConfig scfg;
-  scfg.workers = 0;  // fleet submitters drive inline micro-batches
   scfg.batcher.max_batch = 8;
   scfg.batcher.max_delay_us = 200;
   scfg.batcher.capacity = 64;

@@ -1,8 +1,8 @@
 // bench_serve: load generator + SLO recorder for the src/serve runtime.
 //
-// Trains a small spiking LeNet, stands the Server up in inline mode
-// (single-threaded by default, like bench_runner, so numbers are comparable
-// across runs), and drives it four ways:
+// Trains a small spiking LeNet, stands the Server up (single-threaded by
+// default, like bench_runner, so numbers are comparable across runs), and
+// drives it four ways:
 //
 //   closed-loop  N clients submit back-to-back -> sustained throughput and
 //                p50/p95/p99 latency
@@ -117,7 +117,6 @@ int run(int argc, char** argv) {
 
   serve::ServerConfig scfg;
   scfg.model_path = ckpt;
-  scfg.workers = 0;  // inline: comparable single-threaded numbers
   scfg.batcher.max_batch = 8;
   scfg.batcher.max_delay_us = 200;
   scfg.batcher.capacity = 64;

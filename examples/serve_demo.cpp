@@ -1,8 +1,8 @@
 // Serve demo: anytime inference as a latency/accuracy dial.
 //
 // Trains (or loads) a spiking LeNet checkpoint, stands up the src/serve
-// runtime in inline mode, and serves the test split twice — once with the
-// full time window T and once under a wall-clock latency budget that forces
+// runtime, and serves the test split twice — once with the full time
+// window T and once under a wall-clock latency budget that forces
 // deadline truncation — then sweeps max_steps to print the whole
 // accuracy-vs-truncation curve. This is the paper's structural parameter T
 // acting as a run-time load-shedding knob: logits after t steps are
@@ -108,7 +108,6 @@ int main(int argc, char** argv) {
   //    deterministic and exactly what a latency-sensitive embedder wants.
   serve::ServerConfig scfg;
   scfg.model_path = model_path;
-  scfg.workers = 0;
   scfg.batcher.max_batch = 8;
   scfg.batcher.max_delay_us = 200;
   serve::Server server(scfg);

@@ -16,9 +16,10 @@
 // Batch formation (next_batch) blocks until either `max_batch` requests are
 // pending (flush on size) or the oldest pending request has waited
 // `max_delay_us` (flush on delay), then pops up to max_batch slots in FIFO
-// order. Multiple consumers may pull concurrently; each batch is a
-// contiguous FIFO segment. After stop(), pending requests drain and then
-// next_batch returns 0.
+// order; each batch is a contiguous FIFO segment. serve::Server calls it
+// under its execution lock, from whichever submitting thread drives the
+// next batch. After stop(), pending requests drain and then next_batch
+// returns 0.
 //
 // Everything is preallocated in the constructor: the steady-state
 // acquire/enqueue/pop/release path performs no heap allocation.
@@ -55,12 +56,6 @@ class MicroBatcher {
   /// order into `out` (must hold >= max_batch entries). Returns the batch
   /// size, or 0 once stopped and drained.
   std::int64_t next_batch(std::int64_t* out);
-
-  /// Timed variant for supervised workers: like next_batch, but gives up
-  /// after `timeout_us` without a formed batch and returns -1 so the caller
-  /// can run maintenance (canary checks, self-healing) between polls.
-  /// Returns 0 only when stopped and drained, exactly like next_batch.
-  std::int64_t next_batch_for(std::int64_t* out, std::int64_t timeout_us);
 
   /// Return a slot to the free list (producer side, after the result has
   /// been read out).

@@ -65,7 +65,6 @@ RouterConfig fleet_config() {
     g.role = c.role;
     g.model_path = *c.path;
     g.replicas = 1;
-    g.server.workers = 0;
     g.server.batcher.max_batch = 2;
     g.server.batcher.max_delay_us = 200;
     g.server.batcher.capacity = 16;
@@ -145,6 +144,9 @@ TEST(FleetFrontend, RequestResponseRoundtrip) {
   EXPECT_EQ(out.steps_used, 7U);
   EXPECT_NE(out.resp_flags & kRespTruncated, 0);
 
+  // The response counter ticks after the write lands; stop() joins the
+  // executors, so the counters are final afterwards.
+  fe.stop();
   const FrontendStats s = fe.stats();
   EXPECT_EQ(s.connections_accepted, 1);
   EXPECT_EQ(s.requests, 1);

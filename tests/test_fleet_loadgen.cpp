@@ -232,7 +232,6 @@ TEST(FleetLoadgen, RouterTargetHonoursQuota) {
   g.name = "solo";
   g.role = GroupRole::kBalanced;
   g.model_path = path;
-  g.server.workers = 0;
   g.server.batcher.max_batch = 2;
   g.server.batcher.max_delay_us = 200;
   g.server.batcher.capacity = 16;

@@ -22,7 +22,7 @@ using tensor::Shape;
 using tensor::Tensor;
 
 constexpr std::int64_t kImage = 8;
-constexpr std::int64_t kT = 6;
+constexpr std::int64_t kT = 12;
 
 std::string checkpoint_path() {
   static const std::string path =
@@ -31,8 +31,12 @@ std::string checkpoint_path() {
   if (!written) {
     nn::LenetSpec arch = nn::LenetSpec{}.scaled(0.25);
     arch.image_size = kImage;
+    // Every spiking layer fires within the window (the recipe of
+    // test_serve_anytime's active_config), so the served-vs-one-shot
+    // comparisons below depend on every weight tensor.
     snn::SnnConfig cfg;
-    cfg.v_th = 1.1;
+    cfg.v_th = 0.25;
+    cfg.weight_gain = 6.0;
     cfg.time_steps = kT;
     util::Rng rng(42);
     auto model = snn::build_spiking_lenet(arch, cfg, rng);
@@ -46,7 +50,6 @@ ServerConfig inline_config(std::int64_t max_batch = 4,
                            std::int64_t delay_us = 500) {
   ServerConfig cfg;
   cfg.model_path = checkpoint_path();
-  cfg.workers = 0;  // inline: deterministic, no resident threads
   cfg.batcher.max_batch = max_batch;
   cfg.batcher.max_delay_us = delay_us;
   cfg.batcher.capacity = 16;
@@ -177,43 +180,6 @@ TEST(ServerTest, ConcurrentBatchedResultsAreBitIdenticalToSingle) {
   EXPECT_EQ(stats.completed, kClients * kPerClient);
   EXPECT_EQ(stats.shed, 0);
   EXPECT_EQ(stats.errors, 0);
-}
-
-TEST(ServerTest, ResidentWorkersServeCorrectly) {
-  // Same as above but with resident pool workers (skipped gracefully on a
-  // 1-thread pool, where the server falls back to inline mode).
-  ServerConfig config = inline_config(4, 1000);
-  config.workers = 2;
-  Server server(config);
-  auto reference = snn::load_spiking_lenet(checkpoint_path());
-
-  constexpr int kClients = 3;
-  constexpr int kPerClient = 6;
-  std::vector<int> mismatches(kClients, 0);
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      InferResult r;
-      for (int i = 0; i < kPerClient; ++i) {
-        const auto seed =
-            static_cast<std::uint64_t>(500 + c * kPerClient + i);
-        const Tensor x = random_image(seed);
-        const Tensor want = reference.model->logits(x);
-        if (!server.infer(x, RequestOptions{}, r)) {
-          ++mismatches[static_cast<std::size_t>(c)];
-          continue;
-        }
-        for (std::int64_t k = 0; k < want.numel(); ++k)
-          if (r.scores[static_cast<std::size_t>(k)] != want.data()[k])
-            ++mismatches[static_cast<std::size_t>(c)];
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  for (int c = 0; c < kClients; ++c)
-    EXPECT_EQ(mismatches[static_cast<std::size_t>(c)], 0);
-  server.stop();
-  EXPECT_EQ(server.stats().completed, kClients * kPerClient);
 }
 
 TEST(ServerTest, MaxStepsTruncatesToPrefix) {

@@ -95,7 +95,6 @@ int run(int argc, const char* const* argv) {
                                     : fleet::GroupRole::kBalanced;
     g.model_path = ckpt;
     g.replicas = replicas;
-    g.server.workers = 0;
     rc.groups.push_back(g);
   }
   const bool ensemble_ok = rc.groups.size() >= 3;
