@@ -3,9 +3,10 @@
 // Times the kernels every experiment in the paper reduces to — GEMM
 // (spike-sparse and dense LeNet-5 shapes), conv forward/backward, a full SNN
 // forward at T in {10, 50}, a full-window serving run (AnytimeRunner, T=16,
-// batch 1), and a 10-step PGD iteration — and emits
-// BENCH_hotpath.json (median-of-k ns/op plus GFLOP/s where flops are
-// well-defined) so the perf trajectory is CI-diffable instead of anecdotal.
+// batch 1) with its per-stage step split (snn::StepProfile), and a 10-step
+// PGD iteration — and emits BENCH_hotpath.json (median-of-k ns/op plus
+// GFLOP/s where flops are well-defined) so the perf trajectory is
+// CI-diffable instead of anecdotal.
 //
 // Also hosts the zero-allocation assertion: a global operator new/delete
 // hook counts heap allocations, and after warm-up a steady-state
@@ -167,7 +168,8 @@ Result bench_gemm_reference(const std::string& name, int reps, int warmup,
 }
 
 void write_json(const std::string& path, const std::vector<Result>& results,
-                double fc1_speedup, double events_speedup,
+                const snn::StepProfile& step_profile, double fc1_speedup,
+                double events_speedup,
                 std::int64_t conv_allocs, std::int64_t event_allocs,
                 bool quick) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -198,7 +200,16 @@ void write_json(const std::string& path, const std::vector<Result>& results,
       std::fprintf(f, ", \"allocs\": %lld", static_cast<long long>(r.extra_i));
     std::fprintf(f, "}%s\n", i + 1 < results.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "  ],\n");
+  // Mean ns per step() spent in each stage of the anytime_step_T16 runs.
+  std::fprintf(f, "  \"anytime_step_T16_stage_ns\": {");
+  const double steps =
+      static_cast<double>(std::max<std::int64_t>(step_profile.steps, 1));
+  for (std::size_t i = 0; i < step_profile.stages.size(); ++i)
+    std::fprintf(f, "%s\"%s\": %.1f", i > 0 ? ", " : "",
+                 step_profile.stages[i].c_str(),
+                 static_cast<double>(step_profile.ns[i]) / steps);
+  std::fprintf(f, "}\n}\n");
   std::fclose(f);
 }
 
@@ -255,6 +266,7 @@ int run(int argc, char** argv) {
   // role-declared kernel resolution: at SNN firing rates (5-20%) the event
   // kernel wins outright, and the crossover is visible in the tail rates.
   double events_speedup = 0.0;
+  snn::StepProfile step_profile;
   for (const int rate : {5, 10, 20, 35, 50}) {
     char suffix[8];
     std::snprintf(suffix, sizeof suffix, "_r%02d", rate);
@@ -381,6 +393,11 @@ int run(int argc, char** argv) {
     r.reps = quick ? 31 : 101;
     r.ns_op = median_ns(r.reps, 3, [&] { runner.run(x); });
     results.push_back(r);
+    // Where that time goes: the same runs again with a StepProfile
+    // attached (timed separately, so the gated number stays unprofiled).
+    runner.set_profile(&step_profile);
+    for (int i = 0; i < r.reps; ++i) runner.run(x);
+    runner.set_profile(nullptr);
   }
 
   // ---- One 10-step PGD iteration on the same small SNN (T=10, batch 4):
@@ -409,8 +426,8 @@ int run(int argc, char** argv) {
     results.push_back(r);
   }
 
-  write_json(out, results, fc1_speedup, events_speedup, conv_allocs,
-             event_allocs, quick);
+  write_json(out, results, step_profile, fc1_speedup, events_speedup,
+             conv_allocs, event_allocs, quick);
   std::printf("wrote %s\n", out.c_str());
 
   if (conv_allocs != 0) {

@@ -86,8 +86,8 @@ void Conv2d::pack_weight(Tensor& packed) const {
   const std::int64_t cout = spec_.out_channels;
   if (packed.ndim() != 2 || packed.dim(0) != patch || packed.dim(1) != cout)
     packed = Tensor(Shape{patch, cout});
-  tensor::pack_events_operand(Trans::kYes, patch, cout, weight_.value.data(),
-                              patch, packed.data());
+  tensor::pack_conv_events_operand(patch, spec_.kernel, cout,
+                                   weight_.value.data(), packed.data());
 }
 
 void Conv2d::forward_into_packed(const Tensor& x, const Tensor& packed,
@@ -174,8 +174,8 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, Mode mode) {
     util::Workspace& ws = util::Workspace::local();
     util::Workspace::Scope scope(ws);
     float* wt = ws.alloc<float>(static_cast<std::size_t>(patch * cout));
-    tensor::pack_events_operand(Trans::kYes, patch, cout,
-                                weight_.value.data(), patch, wt);
+    tensor::pack_conv_events_operand(patch, spec_.kernel, cout,
+                                     weight_.value.data(), wt);
     forward_events(x, wt, y, g);
     return;
   }

@@ -41,8 +41,9 @@ class Conv2d final : public Layer {
   /// returns) that is likewise reused across calls of the same shape.
   void forward_into(const tensor::Tensor& x, tensor::Tensor& y, Mode mode);
 
-  /// Pack the live weight into the event scatter's operand layout, W^T
-  /// [patch, Cout], sizing `packed` only when its geometry differs. The pack
+  /// Pack the live weight into the event scatter's operand layout
+  /// (tensor::pack_conv_events_operand: W^T [patch, Cout], kw reversed),
+  /// sizing `packed` only when its geometry differs. The pack
   /// is a snapshot: callers refill it whenever the weight may have changed
   /// (AnytimeRunner does so once per batch, in begin()).
   void pack_weight(tensor::Tensor& packed) const;

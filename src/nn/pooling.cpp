@@ -1,9 +1,11 @@
 #include "nn/pooling.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 
 #include "util/checked.hpp"
+#include "util/simd.hpp"
 
 namespace snnsec::nn {
 
@@ -21,23 +23,33 @@ std::int64_t pooled_size(std::int64_t in, std::int64_t kernel,
 
 // Shared accumulation core for AvgPool2d::forward and forward_into — one
 // loop, one summation order, bit-identical results on both entry points.
-void avg_pool_planes(const float* px, float* py, std::int64_t planes,
-                     std::int64_t h, std::int64_t w, std::int64_t oh,
-                     std::int64_t ow, std::int64_t kernel,
+// Outputs accumulate in place with ox innermost: for each window offset
+// (ky, kx), in order, every output row adds its one input term, so each
+// output still sums 0 + x(0,0) + x(0,1) + ... in (ky, kx) order before the
+// single scale, while the inner loop is a (strided) vector add instead of a
+// walk over a runtime-sized window. Adds and one multiply only — nothing
+// to contract — so both kernel versions give the same bits.
+SNNSEC_KERNEL_CLONES
+void avg_pool_planes(const float* __restrict px, float* __restrict py,
+                     std::int64_t planes, std::int64_t h, std::int64_t w,
+                     std::int64_t oh, std::int64_t ow, std::int64_t kernel,
                      std::int64_t stride) {
   const float inv = 1.0f / static_cast<float>(kernel * kernel);
+  const std::int64_t total = planes * oh * ow;
+  std::fill(py, py + total, 0.0f);
   for (std::int64_t nc = 0; nc < planes; ++nc) {
     const float* plane = px + nc * h * w;
     float* out = py + nc * oh * ow;
-    for (std::int64_t oy = 0; oy < oh; ++oy)
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        float acc = 0.0f;
-        for (std::int64_t ky = 0; ky < kernel; ++ky)
-          for (std::int64_t kx = 0; kx < kernel; ++kx)
-            acc += plane[(oy * stride + ky) * w + ox * stride + kx];
-        out[oy * ow + ox] = acc * inv;
-      }
+    for (std::int64_t ky = 0; ky < kernel; ++ky)
+      for (std::int64_t kx = 0; kx < kernel; ++kx)
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          const float* irow = plane + (oy * stride + ky) * w + kx;
+          float* orow = out + oy * ow;
+          for (std::int64_t ox = 0; ox < ow; ++ox)
+            orow[ox] += irow[ox * stride];
+        }
   }
+  for (std::int64_t q = 0; q < total; ++q) py[q] *= inv;
 }
 }  // namespace
 

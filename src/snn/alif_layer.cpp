@@ -22,33 +22,71 @@ void AlifParameters::validate() const {
                "AlifParameters: rho must be in [0, 1)");
 }
 
-// Branch-free per-element update (the spike is a select), vectorized by the
-// target_clones v3 version. Single source of truth for the ALIF dynamics:
-// the unrolled forward below and AnytimeRunner's kAlif stage both call this
-// symbol, which keeps the two paths bit-identical per machine.
-SNNSEC_KERNEL_CLONES
-void alif_step(const AlifParameters& p, std::int64_t n, const float* x,
-               float* state_i, float* state_v, float* state_b, float* z_out,
-               float* v_decayed_out, float* b0_out) {
+namespace {
+
+// The per-element update, instantiated per kernel version (util/simd.hpp
+// states the v3 contraction contract). The spike is an integer select and
+// every parameter is hoisted into a local, so both versions vectorize.
+// Single source of truth for the ALIF dynamics: the unrolled forward below
+// and AnytimeRunner's kAlif stage both call alif_step, which keeps the two
+// paths bit-identical per machine.
+template <bool kFused>
+[[gnu::always_inline]] inline void alif_update(
+    const AlifParameters& p, std::int64_t n, const float* __restrict x,
+    float* __restrict state_i, float* __restrict state_v,
+    float* __restrict state_b, float* __restrict z_out,
+    float* __restrict v_decayed_out, float* __restrict b0_out) {
   const float a = p.lif.a();
-  const float bsyn = p.lif.b();
+  // p.lif.b() under the contraction contract (fused in the v3 version).
+  const float bsyn = util::madd<kFused>(-p.lif.dt, p.lif.tau_syn_inv, 1.0f);
+  const float v_th = p.lif.v_th;
+  const float v_leak = p.lif.v_leak;
+  const float v_reset = p.lif.v_reset;
   const float beta = p.beta;
   const float rho = p.rho;
+  const float one_minus_rho = 1.0f - rho;
   for (std::int64_t k = 0; k < n; ++k) {
     const float v0 = state_v[k];
     const float i0 = state_i[k];
     const float b0 = state_b[k];
-    const float v_decayed = v0 + a * ((p.lif.v_leak - v0) + i0);
-    const float i_decayed = bsyn * i0;
-    const float theta = p.lif.v_th + beta * b0;
-    const float spike = v_decayed > theta ? 1.0f : 0.0f;
+    const float v_decayed = util::madd<kFused>(a, (v_leak - v0) + i0, v0);
+    const float theta = util::madd<kFused>(beta, b0, v_th);
+    const float spike = util::spike_select(v_decayed > theta);
     v_decayed_out[k] = v_decayed;
     b0_out[k] = b0;  // pre-update adaptation (enters theta); BPTT input
     z_out[k] = spike;
-    state_v[k] = (1.0f - spike) * v_decayed + spike * p.lif.v_reset;
-    state_i[k] = i_decayed + x[k];
-    state_b[k] = rho * b0 + (1.0f - rho) * spike;
+    state_v[k] =
+        util::madd<kFused>(spike, v_reset, (1.0f - spike) * v_decayed);
+    state_i[k] = bsyn * i0 + x[k];
+    state_b[k] = util::madd<kFused>(rho, b0, one_minus_rho * spike);
   }
+}
+
+SNNSEC_TARGET_DEFAULT
+void alif_kernel(const AlifParameters& p, std::int64_t n, const float* x,
+                 float* state_i, float* state_v, float* state_b, float* z_out,
+                 float* v_decayed_out, float* b0_out) {
+  alif_update<false>(p, n, x, state_i, state_v, state_b, z_out,
+                     v_decayed_out, b0_out);
+}
+
+#if SNNSEC_HAVE_TARGET_V3
+SNNSEC_TARGET_V3
+void alif_kernel(const AlifParameters& p, std::int64_t n, const float* x,
+                 float* state_i, float* state_v, float* state_b, float* z_out,
+                 float* v_decayed_out, float* b0_out) {
+  alif_update<true>(p, n, x, state_i, state_v, state_b, z_out,
+                    v_decayed_out, b0_out);
+}
+#endif
+
+}  // namespace
+
+void alif_step(const AlifParameters& p, std::int64_t n, const float* x,
+               float* state_i, float* state_v, float* state_b, float* z_out,
+               float* v_decayed_out, float* b0_out) {
+  alif_kernel(p, n, x, state_i, state_v, state_b, z_out, v_decayed_out,
+              b0_out);
 }
 
 AlifLayer::AlifLayer(std::int64_t time_steps, AlifParameters params,

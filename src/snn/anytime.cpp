@@ -2,7 +2,9 @@
 #include "snn/anytime.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
+#include <string>
 
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
@@ -122,6 +124,32 @@ AnytimeRunner::AnytimeRunner(SpikingClassifier& model, bool allow_faults)
   }
   SNNSEC_CHECK(stages_.back().kind == StageKind::kReadout,
                "AnytimeRunner: network must end in LiReadout");
+  // Stage labels for StepProfile: spiking layers before the first conv are
+  // the encoder; convs, later spiking layers, pools and linears count up.
+  stage_labels_ = std::vector<std::string>(stages_.size());
+  int convs = 0, spiking = 0, pools = 0, linears = 0;
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    std::string& label = stage_labels_[i];
+    switch (stages_[i].kind) {
+      case StageKind::kScale: label = "scale"; break;
+      case StageKind::kLif:
+      case StageKind::kAlif:
+        if (convs == 0)
+          label = "encoder";
+        else
+          label = std::string(stages_[i].kind == StageKind::kLif ? "lif"
+                                                                 : "alif") +
+                  std::to_string(++spiking);
+        break;
+      case StageKind::kConv: label = "conv" + std::to_string(++convs); break;
+      case StageKind::kAvgPool:
+        label = "pool" + std::to_string(++pools);
+        break;
+      case StageKind::kFlatten: label = "flatten"; break;
+      case StageKind::kLinear: label = "fc" + std::to_string(++linears); break;
+      case StageKind::kReadout: label = "readout"; break;
+    }
+  }
   // Wire the producer -> consumer event handoff: a spiking stage whose
   // downstream GEMM (looking past the pure-reshape Flatten) is a Linear
   // resolved to the event kernel compresses its slab once per step; the
@@ -183,6 +211,19 @@ void AnytimeRunner::begin(const Tensor& x) {
   if (sketch_ != nullptr) sketch_->begin(batch_);
 }
 
+void StepProfile::reset() {
+  std::fill(ns.begin(), ns.end(), std::int64_t{0});
+  steps = 0;
+}
+
+void AnytimeRunner::set_profile(StepProfile* profile) {
+  profile_ = profile;
+  if (profile == nullptr) return;
+  profile->stages = stage_labels_;
+  profile->ns = std::vector<std::int64_t>(stage_labels_.size(), 0);
+  profile->steps = 0;
+}
+
 void AnytimeRunner::set_sketch(obs::SketchAccumulator* sketch) {
   if (sketch != nullptr) {
     SNNSEC_CHECK(sketch->configured(),
@@ -209,7 +250,11 @@ void AnytimeRunner::step() {
   util::Workspace& ws = util::Workspace::local();
   util::Workspace::Scope slab_scope(ws);
   const Tensor* cur = &input_;
-  for (Stage& s : stages_) {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point lap;
+  if (profile_ != nullptr) lap = Clock::now();
+  for (std::size_t si = 0; si < stages_.size(); ++si) {
+    Stage& s = stages_[si];
     switch (s.kind) {
       case StageKind::kScale: {
         const float factor = static_cast<const nn::Scale&>(*s.layer).factor();
@@ -341,8 +386,16 @@ void AnytimeRunner::step() {
       }
     }
     cur = &s.out;
+    if (profile_ != nullptr) {
+      const Clock::time_point now = Clock::now();
+      profile_->ns[si] +=
+          std::chrono::duration_cast<std::chrono::nanoseconds>(now - lap)
+              .count();
+      lap = now;
+    }
   }
   if (sketch_ != nullptr) sketch_->end_step();
+  if (profile_ != nullptr) ++profile_->steps;
   ++t_;
 }
 

@@ -58,6 +58,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "obs/sketch.hpp"
@@ -68,6 +69,23 @@
 #include "util/rng.hpp"
 
 namespace snnsec::snn {
+
+/// Opt-in per-stage wall-time split of AnytimeRunner::step(): where one
+/// simulated time step spends its time, stage by stage. Attach with
+/// AnytimeRunner::set_profile; every step() then adds each stage's
+/// steady-clock ns to ns[stage] and counts itself in `steps`.
+struct StepProfile {
+  /// Stage labels in stack order (AnytimeRunner::stage_labels()): "scale",
+  /// "encoder" (the LIF/ALIF before the first conv), "convN",
+  /// "lifN"/"alifN", "poolN", "flatten", "fcN", "readout" — the
+  /// snn.layer.<stage> names.
+  std::vector<std::string> stages;
+  std::vector<std::int64_t> ns;  ///< accumulated wall ns, one per stage
+  std::int64_t steps = 0;        ///< step() calls folded in
+
+  /// Zero the counters, keep the labels.
+  void reset();
+};
 
 class AnytimeRunner {
  public:
@@ -127,6 +145,16 @@ class AnytimeRunner {
   void set_sketch(obs::SketchAccumulator* sketch);
   obs::SketchAccumulator* sketch() const { return sketch_; }
 
+  /// Attach (or with nullptr detach) a per-stage step profile. Attaching
+  /// labels it with stage_labels() and zeroes it; it is borrowed, not
+  /// owned. Detached, the profiling costs step() one untaken branch per
+  /// stage.
+  void set_profile(StepProfile* profile);
+  StepProfile* profile() const { return profile_; }
+  const std::vector<std::string>& stage_labels() const {
+    return stage_labels_;
+  }
+
  private:
   enum class StageKind : std::uint8_t {
     kScale,
@@ -176,7 +204,9 @@ class AnytimeRunner {
   std::int64_t num_classes_;
   std::vector<Stage> stages_;
   std::vector<obs::SketchLayerInfo> sketch_layers_;
+  std::vector<std::string> stage_labels_;  ///< StepProfile::stages
   obs::SketchAccumulator* sketch_ = nullptr;  ///< borrowed; may be null
+  StepProfile* profile_ = nullptr;            ///< borrowed; may be null
   tensor::Tensor input_;   ///< latched request batch [N, C, H, W]
   tensor::Tensor logits_;  ///< running-max decode [N, classes]
   std::int64_t batch_ = 0;

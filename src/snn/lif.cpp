@@ -34,41 +34,99 @@ std::string LifParameters::to_string() const {
   return oss.str();
 }
 
-// The per-element update is branch-free (the spike is a select), so the
-// target_clones v3 version vectorizes the whole state update. Both lif_step
-// and li_step are the single source of truth for the dynamics: LifLayer's
-// unrolled forward and AnytimeRunner's per-slab stepping call the same
-// symbols, which is what keeps the two paths bit-identical per machine.
-// SNNSEC_HOT entry: the per-neuron membrane update kernel.
-SNNSEC_KERNEL_CLONES
-void lif_step(const LifParameters& p, std::int64_t n, const float* x,
-              float* state_i, float* state_v, float* z_out,
-              float* v_decayed_out) {
+namespace {
+
+// The per-element updates, written once and instantiated per kernel version
+// (util/simd.hpp): kFused selects the v3 contraction contract, !kFused the
+// generic version's two-rounding arithmetic. The spike is an integer select
+// and the LifParameters fields are hoisted into locals, so the loops carry
+// no control flow and no reloads through `p` — both versions vectorize.
+// Both lif_step and li_step are the single source of truth for the
+// dynamics: LifLayer's unrolled forward and AnytimeRunner's per-slab
+// stepping call the same symbols, which is what keeps the two paths
+// bit-identical per machine.
+template <bool kFused>
+[[gnu::always_inline]] inline void lif_update(
+    const LifParameters& p, std::int64_t n, const float* __restrict x,
+    float* __restrict state_i, float* __restrict state_v,
+    float* __restrict z_out, float* __restrict v_decayed_out) {
   const float a = p.a();
-  const float b = p.b();
+  // p.b() under the contraction contract (fused in the v3 version).
+  const float b = util::madd<kFused>(-p.dt, p.tau_syn_inv, 1.0f);
+  const float v_th = p.v_th;
+  const float v_leak = p.v_leak;
+  const float v_reset = p.v_reset;
   for (std::int64_t k = 0; k < n; ++k) {
-    const float vd = state_v[k] + a * ((p.v_leak - state_v[k]) + state_i[k]);
-    const float id = b * state_i[k];
-    const float z = vd > p.v_th ? 1.0f : 0.0f;
+    const float v0 = state_v[k];
+    const float i0 = state_i[k];
+    const float vd = util::madd<kFused>(a, (v_leak - v0) + i0, v0);
+    const float z = util::spike_select(vd > v_th);
     z_out[k] = z;
     v_decayed_out[k] = vd;
-    state_v[k] = (1.0f - z) * vd + z * p.v_reset;
-    state_i[k] = id + x[k];
+    state_v[k] = util::madd<kFused>(z, v_reset, (1.0f - z) * vd);
+    state_i[k] = b * i0 + x[k];
   }
 }
 
-SNNSEC_KERNEL_CLONES
-void li_step(const LifParameters& p, std::int64_t n, const float* x,
-             float* state_i, float* state_v, float* v_out) {
+template <bool kFused>
+[[gnu::always_inline]] inline void li_update(
+    const LifParameters& p, std::int64_t n, const float* __restrict x,
+    float* __restrict state_i, float* __restrict state_v,
+    float* __restrict v_out) {
   const float a = p.a();
-  const float b = p.b();
+  const float b = util::madd<kFused>(-p.dt, p.tau_syn_inv, 1.0f);
+  const float v_leak = p.v_leak;
   for (std::int64_t k = 0; k < n; ++k) {
-    const float vd = state_v[k] + a * ((p.v_leak - state_v[k]) + state_i[k]);
-    const float id = b * state_i[k];
+    const float v0 = state_v[k];
+    const float i0 = state_i[k];
+    const float vd = util::madd<kFused>(a, (v_leak - v0) + i0, v0);
     v_out[k] = vd;
     state_v[k] = vd;
-    state_i[k] = id + x[k];
+    state_i[k] = util::madd<kFused>(b, i0, x[k]);
   }
+}
+
+SNNSEC_TARGET_DEFAULT
+void lif_kernel(const LifParameters& p, std::int64_t n, const float* x,
+                float* state_i, float* state_v, float* z_out,
+                float* v_decayed_out) {
+  lif_update<false>(p, n, x, state_i, state_v, z_out, v_decayed_out);
+}
+
+SNNSEC_TARGET_DEFAULT
+void li_kernel(const LifParameters& p, std::int64_t n, const float* x,
+               float* state_i, float* state_v, float* v_out) {
+  li_update<false>(p, n, x, state_i, state_v, v_out);
+}
+
+#if SNNSEC_HAVE_TARGET_V3
+SNNSEC_TARGET_V3
+void lif_kernel(const LifParameters& p, std::int64_t n, const float* x,
+                float* state_i, float* state_v, float* z_out,
+                float* v_decayed_out) {
+  lif_update<true>(p, n, x, state_i, state_v, z_out, v_decayed_out);
+}
+
+SNNSEC_TARGET_V3
+void li_kernel(const LifParameters& p, std::int64_t n, const float* x,
+               float* state_i, float* state_v, float* v_out) {
+  li_update<true>(p, n, x, state_i, state_v, v_out);
+}
+#endif
+
+}  // namespace
+
+// SNNSEC_HOT entry: the per-neuron membrane update kernel. The call to the
+// multi-versioned lif_kernel is dispatched once at load time.
+void lif_step(const LifParameters& p, std::int64_t n, const float* x,
+              float* state_i, float* state_v, float* z_out,
+              float* v_decayed_out) {
+  lif_kernel(p, n, x, state_i, state_v, z_out, v_decayed_out);
+}
+
+void li_step(const LifParameters& p, std::int64_t n, const float* x,
+             float* state_i, float* state_v, float* v_out) {
+  li_kernel(p, n, x, state_i, state_v, v_out);
 }
 
 }  // namespace snnsec::snn

@@ -53,13 +53,15 @@ struct LifState {
 
 /// One forward Euler step over a population (flat arrays of length n).
 /// Writes spikes into `z_out` and the pre-reset membrane into
-/// `v_decayed_out` (needed by BPTT); updates state in place.
+/// `v_decayed_out` (needed by BPTT); updates state in place. No two of the
+/// arrays may overlap.
 void lif_step(const LifParameters& p, std::int64_t n, const float* x,
               float* state_i, float* state_v, float* z_out,
               float* v_decayed_out);
 
 /// Leaky-integrator (non-spiking readout) step: same dynamics without
-/// threshold/reset. Writes the membrane trace into v_out.
+/// threshold/reset. Writes the membrane trace into v_out. No two of the
+/// arrays may overlap.
 void li_step(const LifParameters& p, std::int64_t n, const float* x,
              float* state_i, float* state_v, float* v_out);
 

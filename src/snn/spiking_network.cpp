@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "obs/trace.hpp"
+#include "snn/alif_layer.hpp"
 
 namespace snnsec::snn {
 
@@ -108,8 +109,11 @@ std::vector<double> SpikingClassifier::spike_rates() const {
   std::vector<double> rates;
   auto* self = const_cast<SpikingClassifier*>(this);
   for (std::size_t i = 0; i < self->net_->size(); ++i) {
-    if (const auto* lif = dynamic_cast<const LifLayer*>(&self->net_->layer(i)))
+    const nn::Layer* layer = &self->net_->layer(i);
+    if (const auto* lif = dynamic_cast<const LifLayer*>(layer))
       rates.push_back(lif->last_spike_rate());
+    else if (const auto* alif = dynamic_cast<const AlifLayer*>(layer))
+      rates.push_back(alif->last_spike_rate());
   }
   return rates;
 }

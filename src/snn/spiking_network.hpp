@@ -41,8 +41,8 @@ class SpikingClassifier final : public nn::Classifier {
   std::int64_t time_steps() const { return time_steps_; }
   nn::Sequential& net() { return *net_; }
 
-  /// Mean spike rate of every LifLayer in the stack after the most recent
-  /// forward — dead (all-zero) or saturated layers explain non-learnable
+  /// Mean spike rate of every LifLayer and AlifLayer in the stack after the
+  /// most recent forward — dead (all-zero) or saturated layers explain non-learnable
   /// (V_th, T) grid cells.
   std::vector<double> spike_rates() const;
 

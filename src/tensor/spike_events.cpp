@@ -61,11 +61,19 @@ void event_accum_row(std::int64_t cnt, const std::int32_t* idx,
 /// order visits contributions in ascending (ch, kh, kw) — ascending patch
 /// index — so per-element accumulation order is a pure function of the
 /// sample's data and the geometry.
+///
+/// `wt` is kw-reversed (pack_conv_events_operand): window ox takes patch
+/// column kw = x - ox*stride_w from packed row KW-1-kw, which ADVANCES with
+/// ox. At stride 1 one event's windows in one output row therefore read
+/// consecutive packed rows and write consecutive Ct rows, and the whole
+/// (ox_max - ox_min + 1) * cout run is a single axpy — the same products
+/// into the same elements in the same event order as one axpy per window.
 SNNSEC_KERNEL_CLONES
 void conv_scatter_sample(const ConvGeometry& g, std::int64_t oh,
                          std::int64_t ow, const std::int32_t* cnt,
                          const std::int32_t* idx, const float* val,
                          const float* wt, std::int64_t cout, float* cti) {
+  const std::int64_t kw_last = g.kernel_w - 1;
   for (std::int64_t ch = 0; ch < g.channels; ++ch) {
     for (std::int64_t iy = 0; iy < g.height; ++iy) {
       const std::int64_t r = ch * g.height + iy;
@@ -87,12 +95,21 @@ void conv_scatter_sample(const ConvGeometry& g, std::int64_t oh,
         const float v = rv[e];
         for (std::int64_t oy = oy_min; oy <= oy_max; ++oy) {
           const std::int64_t kh = y - oy * g.stride_h;
-          const std::int64_t prow = (ch * g.kernel_h + kh) * g.kernel_w;
+          // Packed row of window ox: wbase + ox * stride_w.
+          const std::int64_t wbase =
+              (ch * g.kernel_h + kh) * g.kernel_w + kw_last - x;
           float* crow0 = cti + oy * ow * cout;
-          for (std::int64_t ox = ox_min; ox <= ox_max; ++ox) {
-            const float* wrow = wt + (prow + (x - ox * g.stride_w)) * cout;
-            float* crow = crow0 + ox * cout;
-            for (std::int64_t j = 0; j < cout; ++j) crow[j] += v * wrow[j];
+          if (g.stride_w == 1) {
+            const float* wrun = wt + (wbase + ox_min) * cout;
+            float* crun = crow0 + ox_min * cout;
+            const std::int64_t len = (ox_max - ox_min + 1) * cout;
+            for (std::int64_t j = 0; j < len; ++j) crun[j] += v * wrun[j];
+          } else {
+            for (std::int64_t ox = ox_min; ox <= ox_max; ++ox) {
+              const float* wrow = wt + (wbase + ox * g.stride_w) * cout;
+              float* crow = crow0 + ox * cout;
+              for (std::int64_t j = 0; j < cout; ++j) crow[j] += v * wrow[j];
+            }
           }
         }
       }
@@ -260,8 +277,21 @@ void conv_events(const ConvGeometry& g, const float* images,
   const std::int64_t patch = g.patch_size();
   util::Workspace::Scope scope(ws);
   float* wt = ws.alloc<float>(static_cast<std::size_t>(patch * cout));
-  pack_events_operand(Trans::kYes, patch, cout, w, patch, wt);
+  pack_conv_events_operand(patch, g.kernel_w, cout, w, wt);
   conv_events_packed(g, images, batch, wt, cout, ct, ws);
+}
+
+void pack_conv_events_operand(std::int64_t patch, std::int64_t kernel_w,
+                              std::int64_t cout, const float* w, float* wt) {
+  SNNSEC_CHECK(kernel_w > 0 && patch % kernel_w == 0,
+               "pack_conv_events_operand: patch "
+                   << patch << " is not a multiple of kernel_w " << kernel_w);
+  for (std::int64_t row = 0; row < patch; row += kernel_w)
+    for (std::int64_t kw = 0; kw < kernel_w; ++kw) {
+      float* dst = wt + (row + kernel_w - 1 - kw) * cout;
+      const float* src = w + row + kw;
+      for (std::int64_t j = 0; j < cout; ++j) dst[j] = src[j * patch];
+    }
 }
 
 void pack_events_operand(Trans trans_b, std::int64_t k, std::int64_t n,

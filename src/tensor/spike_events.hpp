@@ -79,9 +79,10 @@ EventRows build_conv_events(const ConvGeometry& g, const float* images,
 /// accumulates its value-scaled weight row into every receptive-field
 /// window it occupies — instead of materializing per-patch lists. Work and
 /// memory traffic scale with input events x KH*KW x cout; silent scanlines
-/// cost one count load. `wt` is the weight packed as W^T [patch, cout] by
-/// pack_events_operand(Trans::kYes, patch, cout, w, patch, wt) from the
-/// [cout, patch] GEMM-ready matrix. Result equals
+/// cost one count load. `wt` is the [cout, patch] GEMM-ready weight packed
+/// by pack_conv_events_operand. At stride 1 one event's windows in one
+/// output row form one contiguous run of Ct and of `wt`, scattered with a
+/// single axpy. Result equals
 /// gemm_events(build_conv_events(...), Trans::kYes, ...) up to summation
 /// association (each output element still accumulates in ascending patch
 /// order, but one event at a time rather than four-way grouped).
@@ -94,18 +95,28 @@ void conv_events_packed(const ConvGeometry& g, const float* images,
                         std::int64_t batch, const float* wt, std::int64_t cout,
                         float* ct, util::Workspace& ws);
 
-/// conv_events_packed with the W^T pack done per call from the [cout, patch]
+/// conv_events_packed with the pack done per call from the [cout, patch]
 /// weight matrix `w` (workspace scratch). Same kernel, same bits.
 void conv_events(const ConvGeometry& g, const float* images,
                  std::int64_t batch, const float* w, std::int64_t cout,
                  float* ct, util::Workspace& ws);
 
+/// Pack a conv weight [cout, patch] (patch = C*KH*KW, im2col row order)
+/// into the scatter's operand: W^T [patch, cout] with kw reversed inside
+/// every (c, kh) group of kernel_w rows,
+///   wt[(g + kernel_w - 1 - kw) * cout + j] = w[j * patch + g + kw],
+/// so that consecutive output columns read consecutive packed rows. The one
+/// conv operand layout: Conv2d::pack_weight (once per serving batch) and
+/// conv_events (per call) both produce it.
+void pack_conv_events_operand(std::int64_t patch, std::int64_t kernel_w,
+                              std::int64_t cout, const float* w, float* wt);
+
 /// Pack op(B) [k, n] contiguous into `bp` (k*n floats): bp[p*n + j] =
 /// op(B)[p, j], with op(B)[p, j] at b[p*ldb + j] (kNo) or b[j*ldb + p]
-/// (kYes). This is the weight operand every event kernel streams rows of:
-/// a Linear's W^T (kYes over its [out, in] weight) and a conv's W^T (kYes
-/// over its [cout, patch] weight). Weights are constant while a serving
-/// batch runs, so AnytimeRunner packs once per batch instead of per step.
+/// (kYes). This is the weight operand the event GEMM streams rows of: a
+/// Linear's W^T (kYes over its [out, in] weight). Weights are constant
+/// while a serving batch runs, so AnytimeRunner packs once per batch
+/// instead of per step.
 void pack_events_operand(Trans trans_b, std::int64_t k, std::int64_t n,
                          const float* b, std::int64_t ldb, float* bp);
 

@@ -104,11 +104,14 @@ TEST(KernelDeterminism, ConvRejectsRowSparseHint) {
   EXPECT_THROW(conv.set_input_hint(SparsityHint::kSparse), util::Error);
 }
 
-/// Full-model batched-vs-single bit-identity. Every stage — encoder, event
-/// conv, LIF/ALIF state updates, pooled dense convs, event fc layers,
-/// readout — processes samples independently with a fixed per-sample
-/// operation order, so slicing the batch must not change any logit bit.
-void expect_model_slice_invariant(snn::NeuronModel model, std::uint64_t seed) {
+/// A spiking LeNet whose every spiking layer fires within T = 6 on
+/// uniform-noise images (a low threshold and a raised weight gain, like
+/// test_serve_anytime's active_config; rates ~0.6/0.2/0.05/0.01/0.04): on
+/// the default configuration the layers past conv1 stay silent for so short
+/// a window, and the logits would not depend on most of the kernels these
+/// tests pin.
+std::unique_ptr<snn::SpikingClassifier> active_lenet(
+    snn::NeuronModel model, std::uint64_t seed, float alif_beta = 0.5f) {
   nn::LenetSpec spec;
   spec.image_size = 8;
   spec.num_classes = 4;
@@ -119,13 +122,28 @@ void expect_model_slice_invariant(snn::NeuronModel model, std::uint64_t seed) {
   snn::SnnConfig config;
   config.time_steps = 6;
   config.neuron_model = model;
+  config.v_th = 0.2;
+  config.weight_gain = 8.0;
+  config.alif_beta = alif_beta;
   util::Rng rng(seed);
-  auto net = snn::build_spiking_lenet(spec, config, rng);
+  return snn::build_spiking_lenet(spec, config, rng);
+}
 
-  util::Rng rng_x(seed + 1);
-  const Tensor x = Tensor::rand_uniform(Shape{3, 1, 8, 8}, rng_x, 0.0f, 1.0f);
+Tensor noise_images(std::uint64_t seed) {
+  util::Rng rng_x(seed);
+  return Tensor::rand_uniform(Shape{3, 1, 8, 8}, rng_x, 0.0f, 1.0f);
+}
+
+/// Full-model batched-vs-single bit-identity. Every stage — encoder, event
+/// conv, LIF/ALIF state updates, pools, event fc layers, readout — processes
+/// samples independently with a fixed per-sample operation order, so
+/// slicing the batch must not change any logit bit.
+void expect_model_slice_invariant(snn::NeuronModel model, std::uint64_t seed) {
+  auto net = active_lenet(model, seed);
+  const Tensor x = noise_images(seed + 1);
   const Tensor yf = net->logits(x);
   ASSERT_EQ(yf.dim(0), 3);
+  for (double rate : net->spike_rates()) EXPECT_GT(rate, 0.0);
   Tensor xi(Shape{1, 1, 8, 8});
   for (std::int64_t i = 0; i < 3; ++i) {
     std::memcpy(xi.data(), x.data() + i * 64, 64 * sizeof(float));
@@ -143,6 +161,19 @@ TEST(KernelDeterminism, SpikingLenetLifBatchedVsSingleBitIdentical) {
 
 TEST(KernelDeterminism, SpikingLenetAlifBatchedVsSingleBitIdentical) {
   expect_model_slice_invariant(snn::NeuronModel::kAlif, 67);
+  // Batch slicing cannot see a kernel that is wrong the same way at every
+  // batch size; the LIF limit can. At beta = 0 the ALIF threshold is v_th
+  // exactly and its update is the LIF update, op for op, so the two stacks
+  // (same seed, same weights) must agree to the bit.
+  const Tensor x = noise_images(68);
+  const Tensor alif0 =
+      active_lenet(snn::NeuronModel::kAlif, 67, /*alif_beta=*/0.0f)->logits(x);
+  const Tensor lif = active_lenet(snn::NeuronModel::kLif, 67)->logits(x);
+  ASSERT_EQ(alif0.numel(), lif.numel());
+  EXPECT_EQ(std::memcmp(alif0.data(), lif.data(),
+                        static_cast<std::size_t>(lif.numel()) * sizeof(float)),
+            0)
+      << "ALIF with beta = 0 must reproduce the LIF logits bit for bit";
 }
 
 }  // namespace

@@ -61,8 +61,10 @@ std::unique_ptr<SpikingClassifier> make_model(
 /// the default one the hidden layers past conv1 stay silent for T = 7, so
 /// the logits would not depend on most weights. Here every spiking layer
 /// fires (rates ~0.7/0.7/0.1/0.2/0.1 on random_batch inputs).
-SnnConfig active_config(std::int64_t t = 12) {
-  SnnConfig cfg = test_config(t);
+SnnConfig active_config(std::int64_t t = 12,
+                        NeuronModel neuron = NeuronModel::kLif,
+                        double input_gain = 3.0) {
+  SnnConfig cfg = test_config(t, neuron, input_gain);
   cfg.v_th = 0.25;
   cfg.weight_gain = 6.0;
   return cfg;
@@ -72,6 +74,11 @@ std::unique_ptr<SpikingClassifier> make_active_model(std::uint64_t seed = 42,
                                                      std::int64_t t = 12) {
   util::Rng rng(seed);
   return build_spiking_lenet(test_arch(), active_config(t), rng);
+}
+
+std::unique_ptr<SpikingClassifier> make_active_model(const SnnConfig& cfg) {
+  util::Rng rng(42);
+  return build_spiking_lenet(test_arch(), cfg, rng);
 }
 
 Tensor random_batch(std::int64_t n, std::uint64_t seed = 7) {
@@ -144,21 +151,37 @@ TEST(AnytimeRunner, EventLinearWithoutSpikingProducerMatchesOneShot) {
 }
 
 TEST(AnytimeRunner, FullWindowMatchesOneShotAlif) {
-  auto model = make_model(5, NeuronModel::kAlif);
+  auto model = make_active_model(active_config(12, NeuronModel::kAlif));
   const Tensor x = random_batch(2, 11);
   const Tensor one_shot = model->logits(x);
+  for (double rate : model->spike_rates()) EXPECT_GT(rate, 0.0);
 
   AnytimeRunner runner(*model);
   expect_bitwise_equal(runner.run(x), one_shot);
+
+  // With beta = 0 the threshold never adapts: theta = v_th + 0 * b is v_th
+  // exactly and every other ALIF op is the LIF op, so the ALIF stack must
+  // reproduce the LIF stack's logits bit for bit. Unlike the self-
+  // consistency check above, this one sees a wrong alif_step select.
+  SnnConfig no_adapt = active_config(12, NeuronModel::kAlif);
+  no_adapt.alif_beta = 0.0f;
+  auto alif0 = make_active_model(no_adapt);
+  auto lif = make_active_model(active_config(12));
+  AnytimeRunner alif0_runner(*alif0);
+  expect_bitwise_equal(alif0_runner.run(x), lif->logits(x));
 }
 
 TEST(AnytimeRunner, NoScaleLayerWhenInputGainIsOne) {
   // input_gain == 1 drops the Scale layer from the stack; the runner must
   // still compile and match.
-  auto model = make_model(4, NeuronModel::kLif, 1.0);
+  auto model =
+      make_active_model(active_config(12, NeuronModel::kLif, /*gain=*/1.0));
+  ASSERT_NE(model->net().layer(0).kind(), "Scale");
   const Tensor x = random_batch(2, 13);
+  const Tensor one_shot = model->logits(x);
+  for (double rate : model->spike_rates()) EXPECT_GT(rate, 0.0);
   AnytimeRunner runner(*model);
-  expect_bitwise_equal(runner.run(x), model->logits(x));
+  expect_bitwise_equal(runner.run(x), one_shot);
 }
 
 TEST(AnytimeRunner, TruncatedLogitsArePrefixDeterministic) {
@@ -238,7 +261,7 @@ TEST(AnytimeRunner, RejectsPoissonEncoder) {
 }
 
 TEST(AnytimeRunner, RejectsArmedSpikeFault) {
-  auto model = make_model();
+  auto model = make_active_model();
   SpikeFault fault;
   fault.drop_prob = 0.1;
   for (std::size_t i = 0; i < model->net().size(); ++i)
@@ -253,9 +276,10 @@ TEST(AnytimeRunner, AllowFaultsOptsIntoArmedSpikeFaults) {
   // Chaos mode: the same armed fault that a default runner rejects is
   // replayed per step under allow_faults, bit-identically to the one-shot
   // faulted forward and deterministically across runners.
-  auto model = make_model();
+  auto model = make_active_model();
   const Tensor x = random_batch(2, 21);
   const Tensor clean = model->logits(x);
+  for (double rate : model->spike_rates()) EXPECT_GT(rate, 0.0);
 
   SpikeFault fault;
   fault.drop_prob = 0.0;
@@ -399,6 +423,39 @@ TEST(AnytimeRunnerStaleness, ChaosHookWeightFlipShowsInTheSameBatch) {
   EXPECT_TRUE(same_bytes(r.scores.data(), clean.data(), k)) << "batch 3";
   EXPECT_EQ(batches.load(), 3);
   std::filesystem::remove(path);
+}
+
+TEST(AnytimeRunner, StepProfileSplitsEveryStageWithoutChangingLogits) {
+  auto model = make_active_model();
+  const Tensor x = random_batch(2, 81);
+  AnytimeRunner runner(*model);
+  EXPECT_EQ(runner.stage_labels(),
+            (std::vector<std::string>{"scale", "encoder", "conv1", "lif1",
+                                      "pool1", "conv2", "lif2", "pool2",
+                                      "conv3", "lif3", "flatten", "fc1",
+                                      "lif4", "fc2", "readout"}));
+  StepProfile profile;
+  runner.set_profile(&profile);
+  EXPECT_EQ(profile.stages, runner.stage_labels());
+  expect_bitwise_equal(runner.run(x), model->logits(x));
+  EXPECT_EQ(profile.steps, model->time_steps());
+  ASSERT_EQ(profile.ns.size(), profile.stages.size());
+  std::int64_t total = 0;
+  for (std::int64_t ns : profile.ns) {
+    EXPECT_GE(ns, 0);
+    total += ns;
+  }
+  EXPECT_GT(total, 0);
+
+  // Detached, step() leaves the profile alone.
+  runner.set_profile(nullptr);
+  const std::vector<std::int64_t> before = profile.ns;
+  runner.run(x);
+  EXPECT_EQ(profile.ns, before);
+  EXPECT_EQ(profile.steps, model->time_steps());
+  profile.reset();
+  EXPECT_EQ(profile.steps, 0);
+  for (std::int64_t ns : profile.ns) EXPECT_EQ(ns, 0);
 }
 
 TEST(AnytimeRunner, StepGuards) {

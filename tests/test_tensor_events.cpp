@@ -262,74 +262,98 @@ TEST(BuildConvEvents, MatchesIm2rowLowering) {
   }
 }
 
+/// Scatter geometries: the padded 5x5 the LeNet convs use, a padded 3x3,
+/// a stride-2 3x3 (the per-window scatter path; stride 1 scatters one
+/// contiguous run per event and output row) and an unpadded 3x5.
+ConvGeometry scatter_geometry(int which) {
+  ConvGeometry g;
+  switch (which) {
+    case 0:
+      g.channels = 2, g.height = 12, g.width = 10;
+      g.kernel_h = g.kernel_w = 5;
+      g.pad_h = g.pad_w = 2;
+      break;
+    case 1:
+      g.channels = 3, g.height = 8, g.width = 8;
+      g.kernel_h = g.kernel_w = 3;
+      g.pad_h = g.pad_w = 1;
+      break;
+    case 2:
+      g.channels = 3, g.height = 11, g.width = 9;
+      g.kernel_h = g.kernel_w = 3;
+      g.pad_h = g.pad_w = 1;
+      g.stride_h = g.stride_w = 2;
+      break;
+    default:
+      g.channels = 2, g.height = 9, g.width = 13;
+      g.kernel_h = 3;
+      g.kernel_w = 5;
+      break;
+  }
+  g.validate();
+  return g;
+}
+
+constexpr int kScatterGeometries = 4;
+
 TEST(ConvEvents, ScatterMatchesPatchListReference) {
   // The production scatter kernel against the independently-tested
   // patch-list formulation. Different summation association (one event at a
   // time vs 4-way grouped), so allclose rather than bitwise.
-  ConvGeometry g;
-  g.channels = 2;
-  g.height = 12;
-  g.width = 10;
-  g.kernel_h = 5;
-  g.kernel_w = 5;
-  g.pad_h = 2;
-  g.pad_w = 2;
-  g.validate();
-  const std::int64_t batch = 3, cout = 7;
-  const std::int64_t ohw = g.out_h() * g.out_w();
-  util::Rng rng(13);
-  const Tensor x =
-      spike_operand(Shape{batch, g.channels, g.height, g.width}, 0.2, rng);
-  const Tensor w = Tensor::randn(Shape{cout, g.patch_size()}, rng);
+  for (int which = 0; which < kScatterGeometries; ++which) {
+    const ConvGeometry g = scatter_geometry(which);
+    const std::int64_t batch = 3, cout = 7;
+    const std::int64_t ohw = g.out_h() * g.out_w();
+    util::Rng rng(13 + static_cast<std::uint64_t>(which));
+    const Tensor x =
+        spike_operand(Shape{batch, g.channels, g.height, g.width}, 0.2, rng);
+    const Tensor w = Tensor::randn(Shape{cout, g.patch_size()}, rng);
 
-  util::Workspace& ws = util::Workspace::local();
-  util::Workspace::Scope scope(ws);
-  std::vector<float> got(static_cast<std::size_t>(batch * ohw * cout));
-  conv_events(g, x.data(), batch, w.data(), cout, got.data(), ws);
+    util::Workspace& ws = util::Workspace::local();
+    util::Workspace::Scope scope(ws);
+    std::vector<float> got(static_cast<std::size_t>(batch * ohw * cout));
+    conv_events(g, x.data(), batch, w.data(), cout, got.data(), ws);
 
-  std::vector<float> want(got.size(), 0.0f);
-  {
-    util::Workspace::Scope inner(ws);
-    const EventRows ev = build_conv_events(g, x.data(), batch, ws);
-    gemm_events(ev, Trans::kYes, cout, 1.0f, w.data(), g.patch_size(), 0.0f,
-                want.data(), cout);
+    std::vector<float> want(got.size(), 0.0f);
+    {
+      util::Workspace::Scope inner(ws);
+      const EventRows ev = build_conv_events(g, x.data(), batch, ws);
+      gemm_events(ev, Trans::kYes, cout, 1.0f, w.data(), g.patch_size(), 0.0f,
+                  want.data(), cout);
+    }
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_NEAR(got[i], want[i], 1e-4f)
+          << "geometry " << which << " flat index " << i;
   }
-  for (std::size_t i = 0; i < got.size(); ++i)
-    ASSERT_NEAR(got[i], want[i], 1e-4f) << "flat index " << i;
 }
 
 TEST(ConvEvents, BatchedVsSingleBitIdentical) {
   // Parallelism is over the batch only and each sample's events apply in a
   // fixed scan order, so slicing the batch must not change a single bit.
-  ConvGeometry g;
-  g.channels = 3;
-  g.height = 8;
-  g.width = 8;
-  g.kernel_h = 3;
-  g.kernel_w = 3;
-  g.pad_h = 1;
-  g.pad_w = 1;
-  g.validate();
-  const std::int64_t batch = 5, cout = 4;
-  const std::int64_t chw = g.channels * g.height * g.width;
-  const std::int64_t ohw = g.out_h() * g.out_w();
-  util::Rng rng(17);
-  const Tensor x = spike_operand(Shape{batch, g.channels, g.height, g.width},
-                                 0.3, rng);
-  const Tensor w = Tensor::randn(Shape{cout, g.patch_size()}, rng);
+  for (int which = 0; which < kScatterGeometries; ++which) {
+    const ConvGeometry g = scatter_geometry(which);
+    const std::int64_t batch = 5, cout = 4;
+    const std::int64_t chw = g.channels * g.height * g.width;
+    const std::int64_t ohw = g.out_h() * g.out_w();
+    util::Rng rng(17 + static_cast<std::uint64_t>(which));
+    const Tensor x = spike_operand(
+        Shape{batch, g.channels, g.height, g.width}, 0.3, rng);
+    const Tensor w = Tensor::randn(Shape{cout, g.patch_size()}, rng);
 
-  util::Workspace& ws = util::Workspace::local();
-  util::Workspace::Scope scope(ws);
-  std::vector<float> full(static_cast<std::size_t>(batch * ohw * cout));
-  conv_events(g, x.data(), batch, w.data(), cout, full.data(), ws);
+    util::Workspace& ws = util::Workspace::local();
+    util::Workspace::Scope scope(ws);
+    std::vector<float> full(static_cast<std::size_t>(batch * ohw * cout));
+    conv_events(g, x.data(), batch, w.data(), cout, full.data(), ws);
 
-  std::vector<float> one(static_cast<std::size_t>(ohw * cout));
-  for (std::int64_t i = 0; i < batch; ++i) {
-    conv_events(g, x.data() + i * chw, 1, w.data(), cout, one.data(), ws);
-    EXPECT_EQ(std::memcmp(one.data(), full.data() + i * ohw * cout,
-                          one.size() * sizeof(float)),
-              0)
-        << "sample " << i << " differs between batched and single calls";
+    std::vector<float> one(static_cast<std::size_t>(ohw * cout));
+    for (std::int64_t i = 0; i < batch; ++i) {
+      conv_events(g, x.data() + i * chw, 1, w.data(), cout, one.data(), ws);
+      EXPECT_EQ(std::memcmp(one.data(), full.data() + i * ohw * cout,
+                            one.size() * sizeof(float)),
+                0)
+          << "geometry " << which << " sample " << i
+          << " differs between batched and single calls";
+    }
   }
 }
 
