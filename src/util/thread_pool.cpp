@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <exception>
 #include <iterator>
+#include <memory>
 
 #include "util/error.hpp"
 #include "util/metrics_hooks.hpp"
@@ -17,10 +18,33 @@ namespace {
 thread_local bool g_inside_pool_worker = false;
 }  // namespace
 
+void ThreadPool::TaskRing::put(const Task& task) {
+  if (count_ == slots_.size()) {
+    // Double, then move the wrapped prefix [0, head_) to just past the old
+    // end so the queue runs contiguously from head_ again.
+    const std::size_t old = slots_.size();
+    // NOLINTNEXTLINE(snnsec-hot-path-alloc): the ring grows only when full and never shrinks
+    slots_.resize(2 * old);
+    std::copy_n(slots_.begin(), head_,
+                slots_.begin() + static_cast<std::ptrdiff_t>(old));
+  }
+  slots_[(head_ + count_) % slots_.size()] = task;
+  ++count_;
+}
+
+ThreadPool::Task ThreadPool::TaskRing::take() {
+  const Task task = slots_[head_];
+  head_ = (head_ + 1) % slots_.size();
+  --count_;
+  return task;
+}
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.push_back(std::make_unique<Worker>());
+  for (std::size_t i = 0; i < num_threads; ++i)
+    workers_[i]->thread = std::thread([this, i] { worker_loop(i); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -28,13 +52,31 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mutex_);
     stop_ = true;
   }
-  cv_task_.notify_all();
-  for (auto& w : workers_) w.join();
+  for (auto& w : workers_) w->cv.notify_all();
+  for (auto& w : workers_) w->thread.join();
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  Task entry;
-  entry.fn = std::move(task);
+  auto boxed = std::make_unique<std::function<void()>>(std::move(task));
+  enqueue(
+      nullptr,
+      [](void* p, std::size_t) {
+        const std::unique_ptr<std::function<void()>> fn(
+            static_cast<std::function<void()>*>(p));
+        (*fn)();
+      },
+      boxed.get());
+  boxed.release();  // the queued task owns it now
+}
+
+void ThreadPool::post(std::size_t worker, TaskFn run, void* arg) {
+  SNNSEC_CHECK(worker < workers_.size(),
+               "post() to worker " << worker << " of " << workers_.size());
+  enqueue(workers_[worker].get(), run, arg);
+}
+
+void ThreadPool::enqueue(Worker* target, TaskFn run, void* arg) {
+  Task entry{run, arg, {}};
   if (metrics::enabled())
     entry.enqueued = std::chrono::steady_clock::now();
   std::size_t depth;
@@ -42,14 +84,19 @@ void ThreadPool::submit(std::function<void()> task) {
     // NOLINTNEXTLINE(snnsec-hot-path-lock): queue handoff, O(1) critical section
     std::lock_guard lock(mutex_);
     SNNSEC_CHECK(!stop_, "submit() on stopped ThreadPool");
-    // NOLINTNEXTLINE(snnsec-hot-path-alloc): deque growth amortized, steady state reuses blocks
-    tasks_.push(std::move(entry));
+    TaskRing& ring = target != nullptr ? target->inbox : shared_;
+    ring.put(entry);
     ++in_flight_;
-    depth = tasks_.size();
+    depth = ++queued_;
   }
   metrics::counter_add("pool.tasks", 1);
   metrics::gauge_set("pool.queue_depth", static_cast<double>(depth));
-  cv_task_.notify_one();
+  if (target != nullptr) {
+    target->cv.notify_one();
+  } else {
+    // Any worker may take a shared task, and each waits on its own cv.
+    for (auto& w : workers_) w->cv.notify_one();
+  }
 }
 
 void ThreadPool::wait_idle() {
@@ -57,22 +104,30 @@ void ThreadPool::wait_idle() {
   cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(std::size_t index) {
   // Mark the thread once for its whole lifetime: it is always a pool worker,
   // so nested parallel_for calls degrade to serial, and a throwing task can
   // never leave the flag stale the way a set/clear pair around each task
   // could.
   g_inside_pool_worker = true;
+  Worker& self = *workers_[index];
   for (;;) {
     Task task;
     std::size_t depth;
     {
       std::unique_lock lock(mutex_);
-      cv_task_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-      depth = tasks_.size();
+      self.cv.wait(lock, [&] {
+        return stop_ || !self.inbox.empty() || !shared_.empty();
+      });
+      // Posted tasks first: their poster is blocked waiting on them.
+      if (!self.inbox.empty()) {
+        task = self.inbox.take();
+      } else if (!shared_.empty()) {
+        task = shared_.take();
+      } else {
+        return;  // stopped, and nothing left that this thread may run
+      }
+      depth = --queued_;
     }
     metrics::gauge_set("pool.queue_depth", static_cast<double>(depth));
     if (task.enqueued != std::chrono::steady_clock::time_point{}) {
@@ -96,10 +151,10 @@ void ThreadPool::worker_loop() {
       }
     } guard{*this};
     try {
-      task.fn();
+      task.run(task.arg, index);
     } catch (...) {
       // A raw submit() has no caller to deliver the exception to
-      // (parallel_for catches and rethrows its own); letting it escape a
+      // (parallel_for's tasks catch and latch their own); letting it escape a
       // worker thread would std::terminate the process mid-sweep. Swallow
       // it, count the drop, keep the worker alive.
       metrics::counter_add("pool.task_exceptions", 1);
@@ -121,46 +176,81 @@ ThreadPool& ThreadPool::global() {
 
 bool inside_pool_worker() { return g_inside_pool_worker; }
 
-void detail::parallel_for_chunked_impl(
-    std::int64_t begin, std::int64_t end, std::int64_t workers,
-    const std::function<void(std::int64_t, std::int64_t)>& fn) {
-  const std::int64_t n = end - begin;
-  ThreadPool& pool = ThreadPool::global();
+namespace {
+
+/// One parallel_for_chunked call's fan-out state. It lives on the caller's
+/// stack, which is safe because the caller blocks until every posted task
+/// has joined; the tasks only hold a pointer to it.
+struct ChunkJob {
+  detail::ChunkFnRef fn{};
+  std::int64_t begin = 0;
+  std::int64_t end = 0;
+  std::int64_t chunk = 0;
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  const std::int64_t chunk = (n + workers - 1) / workers;
-  std::atomic<std::int64_t> done{0};
+  std::int64_t done = 0;  ///< tasks finished; guarded by done_mutex
   std::mutex done_mutex;
   std::condition_variable done_cv;
-  std::int64_t launched = 0;
-  for (std::int64_t lo = begin; lo < end; lo += chunk) {
-    const std::int64_t hi = std::min(end, lo + chunk);
-    ++launched;
-    pool.submit([&, lo, hi] {
-      try {
-        // NOLINTNEXTLINE(snnsec-relaxed-atomic): advisory probe, exchange is seq_cst
-        if (!failed.load(std::memory_order_relaxed)) fn(lo, hi);
-      } catch (...) {
-        // NOLINTNEXTLINE(snnsec-hot-path-lock): first-error latch, exception path only
-        std::lock_guard lock(error_mutex);
-        if (!failed.exchange(true)) first_error = std::current_exception();
-      }
-      // Notify while still holding done_mutex: the caller's wait cannot
-      // observe done == launched, return and destroy the stack-resident cv
-      // until this critical section ends, i.e. after the notify is done.
-      // NOLINTNEXTLINE(snnsec-hot-path-lock): completion count, O(1) critical section
-      std::lock_guard lock(done_mutex);
-      ++done;
-      done_cv.notify_one();
-    });
+};
+
+}  // namespace
+
+void detail::parallel_for_chunked_impl(std::int64_t begin, std::int64_t end,
+                                       std::int64_t workers, ChunkFnRef fn) {
+  const std::int64_t n = end - begin;
+  ThreadPool& pool = ThreadPool::global();
+  ChunkJob job;
+  job.fn = fn;
+  job.begin = begin;
+  job.end = end;
+  job.chunk = (n + workers - 1) / workers;
+  // Pool task: chunk i of the range, run on pool thread i. Pinning chunks to
+  // threads makes each thread's scratch (its Workspace arena) see the same
+  // chunk on every call of a fixed shape, so one call warms all of them.
+  // Never throws.
+  const auto run_chunk = [](void* p, std::size_t worker) {
+    ChunkJob& self = *static_cast<ChunkJob*>(p);
+    const std::int64_t lo =
+        self.begin + static_cast<std::int64_t>(worker) * self.chunk;
+    const std::int64_t hi = std::min(self.end, lo + self.chunk);
+    try {
+      // NOLINTNEXTLINE(snnsec-relaxed-atomic): advisory probe, exchange is seq_cst
+      if (!self.failed.load(std::memory_order_relaxed))
+        self.fn.call(self.fn.obj, lo, hi);
+    } catch (...) {
+      // NOLINTNEXTLINE(snnsec-hot-path-lock): first-error latch, exception path only
+      std::lock_guard lock(self.error_mutex);
+      if (!self.failed.exchange(true))
+        self.first_error = std::current_exception();
+    }
+    // Notify while still holding done_mutex: the caller's wait cannot see the
+    // last completion, return and destroy the stack-resident job until this
+    // critical section ends, i.e. after the notify is done. Nothing touches
+    // the job after the unlock.
+    // NOLINTNEXTLINE(snnsec-hot-path-lock): completion count, O(1) critical section
+    std::lock_guard lock(self.done_mutex);
+    ++self.done;
+    self.done_cv.notify_one();
+  };
+  const std::int64_t tasks = (n + job.chunk - 1) / job.chunk;
+  // The job must outlive every task posted, so a failing post (a full ring
+  // that cannot grow) still joins the tasks already out before unwinding.
+  std::int64_t posted = 0;
+  std::exception_ptr post_error;
+  try {
+    for (; posted < tasks; ++posted)
+      pool.post(static_cast<std::size_t>(posted), run_chunk, &job);
+  } catch (...) {
+    post_error = std::current_exception();
   }
   {
     // NOLINTNEXTLINE(snnsec-hot-path-lock): join barrier, fan-out caller must block here
-    std::unique_lock lock(done_mutex);
-    done_cv.wait(lock, [&] { return done.load() == launched; });
+    std::unique_lock lock(job.done_mutex);
+    job.done_cv.wait(lock, [&] { return job.done == posted; });
   }
-  if (failed.load()) std::rethrow_exception(first_error);
+  if (post_error) std::rethrow_exception(post_error);
+  if (job.failed.load()) std::rethrow_exception(job.first_error);
 }
 
 }  // namespace snnsec::util

@@ -6,6 +6,10 @@
 // process-wide singleton sized from the hardware, overridable via the
 // SNNSEC_THREADS environment variable (SNNSEC_THREADS=1 gives fully
 // deterministic serial execution regardless of reduction order).
+//
+// parallel_for pins chunk i of a range to pool thread i and posts it as a
+// non-owning task into that thread's own queue, so neither the dispatch nor
+// the per-thread scratch the chunks use allocates once the pool is warm.
 #pragma once
 
 #include <algorithm>
@@ -14,15 +18,20 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace snnsec::util {
 
 class ThreadPool {
  public:
+  /// A non-owning task: run(arg, worker), where worker is the index of the
+  /// pool thread running it.
+  using TaskFn = void (*)(void* arg, std::size_t worker);
+
   explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
 
@@ -31,8 +40,16 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task; the pool runs it as soon as a worker is free.
+  /// Enqueue a task; the pool runs it as soon as a worker is free. The pool
+  /// owns the task (boxed on the heap), so this allocates; hot loops go
+  /// through parallel_for, which posts non-owning tasks instead.
   void submit(std::function<void()> task);
+
+  /// Enqueue run(arg, worker) on pool thread `worker` (< size()), behind
+  /// whatever that thread already has queued. The caller keeps *arg alive
+  /// until run has returned, and run must not throw. Allocates nothing unless
+  /// the worker's task ring is full; the ring then doubles and never shrinks.
+  void post(std::size_t worker, TaskFn run, void* arg);
 
   /// Block until every submitted task has completed.
   void wait_idle();
@@ -42,19 +59,43 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  void worker_loop();
-
   /// Queued task plus its enqueue time (only stamped while the metrics
   /// registry is enabled; a default time_point means "not measured").
   struct Task {
-    std::function<void()> fn;
+    TaskFn run = nullptr;
+    void* arg = nullptr;
     std::chrono::steady_clock::time_point enqueued{};
   };
 
-  std::vector<std::thread> workers_;
-  std::queue<Task> tasks_;
+  /// FIFO of tasks in a ring buffer. It grows (doubling) only when full and
+  /// never shrinks, so a warm pool queues without allocating.
+  class TaskRing {
+   public:
+    explicit TaskRing(std::size_t capacity) : slots_(capacity) {}
+    bool empty() const { return count_ == 0; }
+    void put(const Task& task);
+    Task take();  ///< the oldest task; the ring must not be empty
+
+   private:
+    std::vector<Task> slots_;
+    std::size_t head_ = 0;  ///< oldest task; count_ tasks follow, wrapping
+    std::size_t count_ = 0;
+  };
+
+  struct Worker {
+    TaskRing inbox{16};  ///< tasks posted to this thread alone
+    std::condition_variable cv;
+    std::thread thread;
+  };
+
+  /// Queue task on target's inbox, or on shared_ when target is null.
+  void enqueue(Worker* target, TaskFn run, void* arg);
+  void worker_loop(std::size_t index);
+
+  std::vector<std::unique_ptr<Worker>> workers_;
+  TaskRing shared_{64};  ///< submit()'s tasks, taken by any free worker
+  std::size_t queued_ = 0;  ///< tasks in shared_ and every inbox
   std::mutex mutex_;
-  std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
   std::size_t in_flight_ = 0;
   bool stop_ = false;
@@ -65,19 +106,25 @@ class ThreadPool {
 bool inside_pool_worker();
 
 namespace detail {
+/// Non-owning reference to a callable fn(lo, hi): the object plus a thunk
+/// that calls it. No type erasure onto the heap, whatever fn captures.
+struct ChunkFnRef {
+  void* obj;
+  void (*call)(void* obj, std::int64_t lo, std::int64_t hi);
+};
+
 /// Out-of-line fan-out/join core; only reached when the work will actually
-/// be dispatched to the pool.
-void parallel_for_chunked_impl(
-    std::int64_t begin, std::int64_t end, std::int64_t workers,
-    const std::function<void(std::int64_t, std::int64_t)>& fn);
+/// be dispatched to the pool. The whole job lives on this call's stack.
+void parallel_for_chunked_impl(std::int64_t begin, std::int64_t end,
+                               std::int64_t workers, ChunkFnRef fn);
 }  // namespace detail
 
 /// Hand contiguous [lo, hi) chunks of [begin, end) to the global pool and
 /// block until all finish. Exceptions thrown by fn are rethrown on the
-/// caller (first one wins). Serial — calling fn directly, without erasing it
-/// into a heap-allocated std::function — when the range is empty, the pool
-/// has one thread, or the caller is itself a pool worker; hot loops that hit
-/// the serial path therefore allocate nothing.
+/// caller (first one wins). Serial — calling fn directly — when the range is
+/// empty, the pool has one thread, or the caller is itself a pool worker.
+/// The parallel path runs chunk i on pool thread i, passing fn by reference
+/// to tasks posted from a stack-resident job; neither path allocates.
 template <typename Fn>
 void parallel_for_chunked(std::int64_t begin, std::int64_t end, Fn&& fn) {
   const std::int64_t n = end - begin;
@@ -92,7 +139,13 @@ void parallel_for_chunked(std::int64_t begin, std::int64_t end, Fn&& fn) {
     fn(begin, end);
     return;
   }
-  detail::parallel_for_chunked_impl(begin, end, workers, fn);
+  using F = std::remove_reference_t<Fn>;
+  const detail::ChunkFnRef ref{
+      const_cast<void*>(static_cast<const void*>(std::addressof(fn))),
+      [](void* obj, std::int64_t lo, std::int64_t hi) {
+        (*static_cast<F*>(obj))(lo, hi);
+      }};
+  detail::parallel_for_chunked_impl(begin, end, workers, ref);
 }
 
 /// Run fn(i) for i in [begin, end) across the global pool. Same serial

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
@@ -156,6 +157,63 @@ TEST(ParallelForStress, ManyTinyRangesJoinCleanly) {
     want += n * (n + 1) / 2;
   }
   EXPECT_EQ(total, want);
+}
+
+TEST(ThreadPool, PostedTasksRunInOrderOnTheirWorkerThroughRingGrowth) {
+  // post() queues a task on one thread's ring, which doubles when full.
+  // Advance the ring's head, hold its worker, then post far past its
+  // capacity so it grows while wrapped: every task must still run once, in
+  // order, on the thread it was posted to.
+  ThreadPool pool(2);
+  struct Log {
+    std::atomic<bool> release{false};
+    std::vector<int> order;  // appended to by worker 1 only
+    std::vector<std::size_t> ran_on;
+  } log;
+  struct Item {
+    Log* log;
+    int id;
+  };
+  constexpr int kTasks = 100;
+  std::vector<Item> items;
+  for (int i = 0; i < kTasks; ++i) items.push_back({&log, i});
+  const ThreadPool::TaskFn record = [](void* p, std::size_t worker) {
+    const Item& it = *static_cast<Item*>(p);
+    it.log->order.push_back(it.id);
+    it.log->ran_on.push_back(worker);
+  };
+  const ThreadPool::TaskFn hold = [](void* p, std::size_t) {
+    auto& l = *static_cast<Log*>(p);
+    while (!l.release.load()) std::this_thread::yield();
+  };
+  for (int i = 0; i < 10; ++i) pool.post(1, record, &items[i]);
+  pool.wait_idle();
+  pool.post(1, hold, &log);
+  for (int i = 10; i < kTasks; ++i) pool.post(1, record, &items[i]);
+  log.release.store(true);
+  pool.wait_idle();
+  std::vector<int> want(kTasks);
+  std::iota(want.begin(), want.end(), 0);
+  EXPECT_EQ(log.order, want);
+  EXPECT_EQ(log.ran_on, std::vector<std::size_t>(kTasks, 1));
+}
+
+TEST(ParallelForChunked, RunsEachChunkOnTheSameThreadEveryCall) {
+  // A thread's scratch arena is warm only for the chunks that thread has
+  // run, so the zero-alloc steady state needs a fixed shape's chunks to land
+  // on the same threads on every call.
+  constexpr std::int64_t kN = 64;
+  std::vector<std::thread::id> first(kN), again(kN);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::thread::id>& ids = round == 0 ? first : again;
+    parallel_for_chunked(0, kN, [&ids](std::int64_t lo, std::int64_t hi) {
+      for (std::int64_t i = lo; i < hi; ++i)
+        ids[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+    });
+    if (round > 0) {
+      EXPECT_EQ(again, first) << "round " << round;
+    }
+  }
 }
 
 TEST(ThreadPoolGlobal, IsSingleton) {
