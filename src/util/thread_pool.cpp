@@ -16,6 +16,17 @@ namespace {
 // Set inside pool workers so nested parallel_for calls degrade to serial
 // execution instead of deadlocking (a worker must never block on the pool).
 thread_local bool g_inside_pool_worker = false;
+
+// Metrics are best-effort. A hook that throws (a registry allocating its
+// first series, say) must not cost the pool a task it has already queued or
+// taken, so the emits around a handoff swallow their own errors.
+template <typename Emit>
+void emit_metrics(const Emit& emit) noexcept {
+  try {
+    emit();
+  } catch (...) {
+  }
+}
 }  // namespace
 
 void ThreadPool::TaskRing::put(const Task& task) {
@@ -58,8 +69,8 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::submit(std::function<void()> task) {
   auto boxed = std::make_unique<std::function<void()>>(std::move(task));
-  enqueue(
-      nullptr,
+  post(
+      next_submit_++ % workers_.size(),
       [](void* p, std::size_t) {
         const std::unique_ptr<std::function<void()>> fn(
             static_cast<std::function<void()>*>(p));
@@ -72,10 +83,8 @@ void ThreadPool::submit(std::function<void()> task) {
 void ThreadPool::post(std::size_t worker, TaskFn run, void* arg) {
   SNNSEC_CHECK(worker < workers_.size(),
                "post() to worker " << worker << " of " << workers_.size());
-  enqueue(workers_[worker].get(), run, arg);
-}
-
-void ThreadPool::enqueue(Worker* target, TaskFn run, void* arg) {
+  Worker& target = *workers_[worker];
+  TaskRing& inbox = target.inbox;
   Task entry{run, arg, {}};
   if (metrics::enabled())
     entry.enqueued = std::chrono::steady_clock::now();
@@ -83,20 +92,18 @@ void ThreadPool::enqueue(Worker* target, TaskFn run, void* arg) {
   {
     // NOLINTNEXTLINE(snnsec-hot-path-lock): queue handoff, O(1) critical section
     std::lock_guard lock(mutex_);
-    SNNSEC_CHECK(!stop_, "submit() on stopped ThreadPool");
-    TaskRing& ring = target != nullptr ? target->inbox : shared_;
-    ring.put(entry);
+    SNNSEC_CHECK(!stop_, "post() on stopped ThreadPool");
+    inbox.put(entry);
     ++in_flight_;
     depth = ++queued_;
   }
-  metrics::counter_add("pool.tasks", 1);
-  metrics::gauge_set("pool.queue_depth", static_cast<double>(depth));
-  if (target != nullptr) {
-    target->cv.notify_one();
-  } else {
-    // Any worker may take a shared task, and each waits on its own cv.
-    for (auto& w : workers_) w->cv.notify_one();
-  }
+  // The task is queued now, so nothing below may throw: the caller would
+  // unwind as if it had not been posted while a worker still runs it.
+  target.cv.notify_one();
+  emit_metrics([depth] {
+    metrics::counter_add("pool.tasks", 1);
+    metrics::gauge_set("pool.queue_depth", static_cast<double>(depth));
+  });
 }
 
 void ThreadPool::wait_idle() {
@@ -116,21 +123,14 @@ void ThreadPool::worker_loop(std::size_t index) {
     std::size_t depth;
     {
       std::unique_lock lock(mutex_);
-      self.cv.wait(lock, [&] {
-        return stop_ || !self.inbox.empty() || !shared_.empty();
-      });
-      // Posted tasks first: their poster is blocked waiting on them.
-      if (!self.inbox.empty()) {
-        task = self.inbox.take();
-      } else if (!shared_.empty()) {
-        task = shared_.take();
-      } else {
-        return;  // stopped, and nothing left that this thread may run
-      }
+      self.cv.wait(lock, [&] { return stop_ || !self.inbox.empty(); });
+      if (self.inbox.empty()) return;  // stopped, and nothing left to run
+      task = self.inbox.take();
       depth = --queued_;
     }
-    metrics::gauge_set("pool.queue_depth", static_cast<double>(depth));
-    if (task.enqueued != std::chrono::steady_clock::time_point{}) {
+    emit_metrics([&task, depth] {
+      metrics::gauge_set("pool.queue_depth", static_cast<double>(depth));
+      if (task.enqueued == std::chrono::steady_clock::time_point{}) return;
       const double wait_ms =
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - task.enqueued)
@@ -139,7 +139,7 @@ void ThreadPool::worker_loop(std::size_t index) {
                                                  10.0, 100.0, 1000.0};
       metrics::histogram_observe("pool.task_wait_ms", wait_ms, kWaitBoundsMs,
                                  std::size(kWaitBoundsMs));
-    }
+    });
     // in_flight_ must reach zero even when the task throws — otherwise
     // wait_idle() deadlocks — so the decrement is RAII, not a statement
     // after the call.
@@ -157,7 +157,7 @@ void ThreadPool::worker_loop(std::size_t index) {
       // (parallel_for's tasks catch and latch their own); letting it escape a
       // worker thread would std::terminate the process mid-sweep. Swallow
       // it, count the drop, keep the worker alive.
-      metrics::counter_add("pool.task_exceptions", 1);
+      emit_metrics([] { metrics::counter_add("pool.task_exceptions", 1); });
     }
   }
 }

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -40,7 +41,7 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task; the pool runs it as soon as a worker is free. The pool
+  /// Enqueue a task on the next pool thread in round-robin order. The pool
   /// owns the task (boxed on the heap), so this allocates; hot loops go
   /// through parallel_for, which posts non-owning tasks instead.
   void submit(std::function<void()> task);
@@ -83,18 +84,16 @@ class ThreadPool {
   };
 
   struct Worker {
-    TaskRing inbox{16};  ///< tasks posted to this thread alone
+    TaskRing inbox{16};  ///< this thread's tasks, run in posting order
     std::condition_variable cv;
     std::thread thread;
   };
 
-  /// Queue task on target's inbox, or on shared_ when target is null.
-  void enqueue(Worker* target, TaskFn run, void* arg);
   void worker_loop(std::size_t index);
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  TaskRing shared_{64};  ///< submit()'s tasks, taken by any free worker
-  std::size_t queued_ = 0;  ///< tasks in shared_ and every inbox
+  std::atomic<std::size_t> next_submit_{0};  ///< submit()'s round-robin turn
+  std::size_t queued_ = 0;  ///< tasks in every inbox
   std::mutex mutex_;
   std::condition_variable cv_idle_;
   std::size_t in_flight_ = 0;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/metrics_hooks.hpp"
 #include "util/thread_pool.hpp"
 
 namespace snnsec::util {
@@ -196,6 +197,31 @@ TEST(ThreadPool, PostedTasksRunInOrderOnTheirWorkerThroughRingGrowth) {
   std::iota(want.begin(), want.end(), 0);
   EXPECT_EQ(log.order, want);
   EXPECT_EQ(log.ran_on, std::vector<std::size_t>(kTasks, 1));
+}
+
+TEST(ThreadPool, ThrowingMetricsHookLosesNoTask) {
+  // The pool emits metrics through installed hooks around each handoff, and
+  // a hook may throw. A task that is already queued must still run exactly
+  // once: submit() must not unwind (freeing the task it queued) and the
+  // worker must neither drop the task it took nor die.
+  MetricsHooks& hooks = metrics_hooks();
+  struct Restore {
+    MetricsHooks& hooks;
+    MetricsHooks saved;
+    ~Restore() { hooks = saved; }
+  } restore{hooks, hooks};
+  hooks.enabled = [] { return true; };
+  hooks.counter_add = [](const char*, std::int64_t) { throw Error("hook"); };
+  hooks.gauge_set = [](const char*, double) { throw Error("hook"); };
+  hooks.histogram_observe = [](const char*, double, const double*,
+                               std::size_t) { throw Error("hook"); };
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 8; ++i) pool.submit([&ran] { ran.fetch_add(1); });
+    pool.wait_idle();
+  }
+  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(ParallelForChunked, RunsEachChunkOnTheSameThreadEveryCall) {
