@@ -46,6 +46,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attacks/pgd.hpp"
@@ -336,6 +337,33 @@ int run(int argc, char** argv) {
   // window of requests must stay off the heap. The budget tenant's bucket
   // (burst 3, no refill) is empty by now, so its window measures the
   // quota-reject path.
+  //
+  // A replica's supervisor thread warms its own Workspace arena and metric
+  // series in its first deep canary, which fires only once the replica
+  // has sat idle; the gate counts process-wide, so let that happen first.
+  // Nothing else submits while we wait, so the canaries that start now run
+  // on the supervisor threads, and a replica runs its canaries one at a
+  // time: once two have started here, the first has finished.
+  {
+    std::vector<const serve::Server*> replicas;
+    for (std::int64_t g = 0; g < router.num_groups(); ++g)
+      for (std::int64_t r = 0; r < router.replica_count(g); ++r)
+        replicas.push_back(&router.replica(g, r));
+    const auto deep_canaries = [](const serve::Server* s) {
+      return s->supervisor()->stats().deep_canaries;
+    };
+    std::vector<std::int64_t> start;
+    for (const serve::Server* s : replicas) start.push_back(deep_canaries(s));
+    const auto warm = [&] {
+      for (std::size_t i = 0; i < replicas.size(); ++i)
+        if (deep_canaries(replicas[i]) < start[i] + 2) return false;
+      return true;
+    };
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!warm() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
   std::int64_t alloc_route = 0;
   std::int64_t alloc_quota = 0;
   std::int64_t alloc_ensemble = 0;

@@ -96,9 +96,10 @@ Router::Router(RouterConfig cfg)
     if (gc.default_max_steps > 0) {
       g->default_max_steps = gc.default_max_steps;
     } else if (gc.role == GroupRole::kLowLatency) {
-      // Default trusted traffic to the cheap side of the truncation-curve
-      // cliff: BENCH_serve's deadline curve holds accuracy at t = 14/16
-      // (7T/8) and collapses below it.
+      // Default trusted traffic to t = 7T/8. This is not measured to be
+      // safe: BENCH_serve's deadline curve records 40.0% accuracy at
+      // t = 14/16 against 73.3% at 16/16, and chance at t <= 12 (ROADMAP
+      // item 7).
       g->default_max_steps =
           std::max(gc.server.min_steps, steps - steps / 8);
     }

@@ -64,11 +64,6 @@ void Conv2d::set_input_hint(tensor::SparsityHint hint) {
                          "resolution is sticky (one kernel per operand role "
                          "for the layer's lifetime); build-time declaration "
                          "only");
-  SNNSEC_CHECK(hint != tensor::SparsityHint::kSparse,
-               name() << ": kSparse is meaningless for conv — the im2col "
-                         "lowering puts the spike sparsity in the B operand "
-                         "where the zero-skip A kernel cannot reach it; "
-                         "declare kEvents instead");
   input_hint_ = hint;
 }
 
@@ -206,16 +201,13 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, Mode mode) {
   }
 
   // raw = W [Cout, patch] x columns [patch, N*OHW] -> [Cout, N*OHW], GEMM'd
-  // straight into workspace memory. In this lowering op(A) is the WEIGHT
-  // matrix — dense by role whatever the input hint says — so the layer's
-  // event resolution is applied above by switching the lowering itself, not
-  // by re-tagging this operand.
-  const tensor::SparsityHint weight_role = tensor::SparsityHint::kDense;
+  // straight into workspace memory. The layer's event resolution is applied
+  // above by switching the lowering itself.
   float* praw =
       ws.alloc<float>(static_cast<std::size_t>(spec_.out_channels * n * ohw));
   tensor::gemm_raw(Trans::kNo, Trans::kNo, spec_.out_channels, n * ohw, patch,
                    1.0f, weight_.value.data(), patch, pcol, n * ohw, 0.0f,
-                   praw, n * ohw, weight_role);
+                   praw, n * ohw);
 
   // Fused bias-add + reorder [Cout][n][ohw] -> [n][Cout][ohw], parallel over
   // output channels (each channel writes disjoint rows of y).
@@ -296,20 +288,16 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     });
   }
 
-  // dW += G x columns^T : [Cout, patch]. op(A) is the upstream gradient —
-  // dense by role (surrogate gradients are real-valued, not spikes); the
-  // cached spike columns sit in the B operand, out of any A-side skip's
-  // reach, so the layer's input hint does not apply here.
+  // dW += G x columns^T : [Cout, patch].
   tensor::gemm_raw(Trans::kNo, Trans::kYes, cout, patch, n * ohw, 1.0f, pm,
                    n * ohw, cached_columns_.data(), n * ohw, 1.0f,
-                   weight_.grad.data(), patch, tensor::SparsityHint::kDense);
+                   weight_.grad.data(), patch);
 
-  // dColumns = W^T x G : [patch, N*OHW]; then col2im per sample. op(A) is
-  // the weight matrix — dense by role regardless of the input hint.
+  // dColumns = W^T x G : [patch, N*OHW]; then col2im per sample.
   float* pdcol = ws.alloc<float>(static_cast<std::size_t>(patch * n * ohw));
   tensor::gemm_raw(Trans::kYes, Trans::kNo, patch, n * ohw, cout, 1.0f,
                    weight_.value.data(), patch, pm, n * ohw, 0.0f, pdcol,
-                   n * ohw, tensor::SparsityHint::kDense);
+                   n * ohw);
   Tensor dx(Shape{n, g.channels, g.height, g.width});
   {
     SNNSEC_TRACE_SCOPE("conv.col2im");

@@ -66,13 +66,12 @@ class Conv2d final : public Layer {
 
   /// Declare how this layer's input operand is populated. Conv resolves to
   /// kDense (im2col + blocked GEMM, the default) or kEvents (receptive
-  /// fields compressed to event lists, spike inputs); kSparse is rejected —
-  /// in the im2col lowering the spike sparsity sits in the B operand where
-  /// the zero-skip row kernel cannot reach it. Resolution is STICKY (must
-  /// precede the first forward, never flips afterwards; throws util::Error
-  /// otherwise). The event path runs in eval mode; training/attack forwards
-  /// keep the dense lowering because backward consumes the cached dense
-  /// columns — still one fixed kernel per (layer, mode), never data-probed.
+  /// fields compressed to event lists, spike inputs). Resolution is STICKY
+  /// (must precede the first forward, never flips afterwards; throws
+  /// util::Error otherwise). The event path runs in eval mode;
+  /// training/attack forwards keep the dense lowering because backward
+  /// consumes the cached dense columns — still one fixed kernel per
+  /// (layer, mode), never data-probed.
   void set_input_hint(tensor::SparsityHint hint);
   tensor::SparsityHint input_hint() const { return input_hint_; }
 

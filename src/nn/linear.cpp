@@ -55,17 +55,10 @@ void Linear::resolve_kernel() {
   // One increment per layer at resolution time: the counters expose which
   // kernels the deployed model actually resolved to, without any per-call
   // hot-path cost.
-  switch (input_hint_) {
-    case tensor::SparsityHint::kDense:
-      SNNSEC_COUNTER_ADD("tensor.gemm.kernel.dense", 1);
-      break;
-    case tensor::SparsityHint::kSparse:
-      SNNSEC_COUNTER_ADD("tensor.gemm.kernel.sparse", 1);
-      break;
-    case tensor::SparsityHint::kEvents:
-      SNNSEC_COUNTER_ADD("tensor.gemm.kernel.events", 1);
-      break;
-  }
+  if (input_hint_ == tensor::SparsityHint::kEvents)
+    SNNSEC_COUNTER_ADD("tensor.gemm.kernel.events", 1);
+  else
+    SNNSEC_COUNTER_ADD("tensor.gemm.kernel.dense", 1);
 }
 
 void Linear::add_bias(Tensor& y) const {
@@ -102,8 +95,7 @@ void Linear::forward_into(const Tensor& x, Tensor& y) {
                         weight_.value.data(), in_features_, 0.0f, y.data(),
                         out_features_);
   } else {
-    tensor::gemm(Trans::kNo, Trans::kYes, 1.0f, x, weight_.value, 0.0f, y,
-                 input_hint_);
+    tensor::gemm(Trans::kNo, Trans::kYes, 1.0f, x, weight_.value, 0.0f, y);
   }
   add_bias(y);
 }

@@ -37,9 +37,9 @@ class Linear final : public Layer {
   void forward_into_events(const tensor::EventRows& ev,
                            const tensor::Tensor& packed, tensor::Tensor& y);
 
-  /// Declare how this layer's input operand is populated (kDense default;
-  /// kSparse for spike slabs through the zero-skip kernel; kEvents for the
-  /// fully event-driven path). Resolution is STICKY: it must happen before
+  /// Declare how this layer's input operand is populated (kDense default,
+  /// the blocked GEMM; kEvents for spike slabs through the event-driven
+  /// path). Resolution is STICKY: it must happen before
   /// the first forward and never flips afterwards — kernel choice for a
   /// (layer, operand role) is identical across batch sizes and call counts,
   /// the determinism contract serve and detection are built on. Throws

@@ -5,8 +5,8 @@
 // and PGD robustness (Figs. 7-9). ActivityStats is the unit of evidence:
 // per-layer firing rate, raw spike counts, the silent/saturated neuron
 // fractions and a fixed-bucket membrane-potential histogram. snn::LifLayer
-// fills one per probed forward; core::RobustnessExplorer attaches a vector
-// of them to every (V_th, T) grid cell.
+// and snn::AlifLayer fill one per probed forward; core::RobustnessExplorer
+// attaches a vector of them to every (V_th, T) grid cell.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "snn/lif_layer.hpp"
 #include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 #include "util/workspace.hpp"
@@ -134,6 +135,9 @@ Tensor AlifLayer::forward(const Tensor& x, nn::Mode mode) {
   double spike_sum = 0.0;
   for (std::int64_t i = 0; i < z.numel(); ++i) spike_sum += pz[i];
   last_spike_rate_ = spike_sum / static_cast<double>(z.numel());
+  if (probe_)
+    last_activity_ =
+        activity_stats(z, vd, time_steps_, last_spike_rate_, params_.lif);
 
   if (nn::cache_enabled(mode)) {
     v_decayed_ = std::move(vd);

@@ -17,6 +17,7 @@
 #pragma once
 
 #include "nn/layer.hpp"
+#include "obs/probe.hpp"
 #include "snn/lif.hpp"
 
 namespace snnsec::snn {
@@ -55,6 +56,12 @@ class AlifLayer final : public nn::Layer {
   const AlifParameters& params() const { return params_; }
   double last_spike_rate() const { return last_spike_rate_; }
 
+  /// Activity probe, as on LifLayer: while armed, each forward also fills
+  /// last_activity() (snn::activity_stats over its spikes and pre-reset
+  /// membrane potentials).
+  void set_probe(bool on) { probe_ = on; }
+  const obs::ActivityStats& last_activity() const { return last_activity_; }
+
  private:
   std::int64_t time_steps_;
   AlifParameters params_;
@@ -66,6 +73,8 @@ class AlifLayer final : public nn::Layer {
   std::int64_t per_step_ = 0;
   bool have_cache_ = false;
   double last_spike_rate_ = 0.0;
+  bool probe_ = false;
+  obs::ActivityStats last_activity_;
 };
 
 }  // namespace snnsec::snn

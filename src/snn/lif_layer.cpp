@@ -72,7 +72,9 @@ Tensor LifLayer::forward(const Tensor& x, nn::Mode mode) {
   last_spike_rate_ =
       spike_sum.load(std::memory_order_relaxed) / static_cast<double>(z.numel());
   last_output_numel_ = z.numel();
-  if (probe_) collect_activity_stats(z, vd, per_step);
+  if (probe_)
+    last_activity_ =
+        activity_stats(z, vd, time_steps_, last_spike_rate_, params_);
 
   if (nn::cache_enabled(mode)) {
     v_decayed_ = std::move(vd);
@@ -138,23 +140,23 @@ Tensor LifLayer::backward(const Tensor& grad_out) {
   return dx;
 }
 
-void LifLayer::collect_activity_stats(const Tensor& z, const Tensor& vd,
-                                      std::int64_t per_step) {
+obs::ActivityStats activity_stats(const Tensor& z, const Tensor& vd,
+                                  std::int64_t time_steps, double spike_rate,
+                                  const LifParameters& params) {
+  const std::int64_t per_step = z.numel() / time_steps;
   obs::ActivityStats stats;
   stats.neuron_steps = z.numel();
   stats.neurons = per_step;
-  stats.spike_count =
-      static_cast<std::int64_t>(last_spike_rate_ *
-                                    static_cast<double>(z.numel()) +
-                                0.5);
-  stats.firing_rate = last_spike_rate_;
+  const double spikes = spike_rate * static_cast<double>(z.numel());
+  stats.spike_count = static_cast<std::int64_t>(spikes + 0.5);
+  stats.firing_rate = spike_rate;
 
   // Per-neuron any/all reductions over the time axis: a neuron here is one
   // (sample, feature) slot followed through the whole window.
   std::vector<std::uint8_t> fired(static_cast<std::size_t>(per_step), 0);
   std::vector<std::uint8_t> always(static_cast<std::size_t>(per_step), 1);
   const float* pz = z.data();
-  for (std::int64_t t = 0; t < time_steps_; ++t) {
+  for (std::int64_t t = 0; t < time_steps; ++t) {
     const float* row = pz + t * per_step;
     for (std::int64_t k = 0; k < per_step; ++k) {
       const bool spiked = row[k] > 0.5f;
@@ -175,8 +177,8 @@ void LifLayer::collect_activity_stats(const Tensor& z, const Tensor& vd,
 
   // Pre-reset membrane-potential distribution, centered on the threshold
   // so under/over-threshold mass is visible per (V_th, T) cell.
-  stats.v_spec.lo = params_.v_reset - 1.0;
-  stats.v_spec.hi = params_.v_th + 1.0;
+  stats.v_spec.lo = params.v_reset - 1.0;
+  stats.v_spec.hi = params.v_th + 1.0;
   // NOLINTNEXTLINE(snnsec-hot-alloc): probe path — runs only when activity collection is armed, never in steady-state forwards
   stats.v_hist.assign(static_cast<std::size_t>(stats.v_spec.buckets), 0);
   const float* pv = vd.data();
@@ -193,7 +195,7 @@ void LifLayer::collect_activity_stats(const Tensor& z, const Tensor& vd,
   stats.v_mean = v_sum / static_cast<double>(vd.numel());
   stats.v_min = v_min;
   stats.v_max = v_max;
-  last_activity_ = std::move(stats);
+  return stats;
 }
 
 void SpikeFault::validate() const {

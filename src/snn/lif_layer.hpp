@@ -48,6 +48,16 @@ struct SpikeFault {
   void validate() const;
 };
 
+/// Activity of one spiking population over a probed forward: `z` and `vd`
+/// are its time-major [T*N, F...] spikes and pre-reset membrane potentials,
+/// `spike_rate` their mean. The histogram spans [v_reset - 1, v_th + 1) of
+/// `params`. Shared by LifLayer and AlifLayer (whose `params` is the LIF
+/// part of its parameters). The returned stats leave `layer` empty.
+obs::ActivityStats activity_stats(const tensor::Tensor& z,
+                                  const tensor::Tensor& vd,
+                                  std::int64_t time_steps, double spike_rate,
+                                  const LifParameters& params);
+
 class LifLayer final : public nn::Layer {
  public:
   /// `time_steps` is the paper's time-window T; each forward input must
@@ -89,9 +99,6 @@ class LifLayer final : public nn::Layer {
   const SpikeFault& spike_fault() const { return fault_; }
 
  private:
-  void collect_activity_stats(const tensor::Tensor& z,
-                              const tensor::Tensor& vd,
-                              std::int64_t per_step);
   void apply_spike_fault(tensor::Tensor& z, std::int64_t per_step) const;
 
   std::int64_t time_steps_;

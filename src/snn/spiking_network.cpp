@@ -11,6 +11,24 @@ namespace snnsec::snn {
 using tensor::Shape;
 using tensor::Tensor;
 
+namespace {
+
+/// Arms or disarms a spiking layer's activity probe and returns its stats
+/// slot; null for a layer that does not spike.
+const obs::ActivityStats* set_layer_probe(nn::Layer& layer, bool on) {
+  if (auto* lif = dynamic_cast<LifLayer*>(&layer)) {
+    lif->set_probe(on);
+    return &lif->last_activity();
+  }
+  if (auto* alif = dynamic_cast<AlifLayer*>(&layer)) {
+    alif->set_probe(on);
+    return &alif->last_activity();
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 SpikingClassifier::SpikingClassifier(std::unique_ptr<nn::Sequential> net,
                                      std::int64_t time_steps,
                                      std::int64_t num_classes,
@@ -121,19 +139,16 @@ std::vector<double> SpikingClassifier::spike_rates() const {
 std::vector<obs::ActivityStats> SpikingClassifier::collect_activity(
     const Tensor& x) {
   SNNSEC_TRACE_SCOPE("snn.probe");
-  std::vector<LifLayer*> lifs;
-  for (std::size_t i = 0; i < net_->size(); ++i) {
-    if (auto* lif = dynamic_cast<LifLayer*>(&net_->layer(i))) {
-      lif->set_probe(true);
-      lifs.push_back(lif);
-    }
-  }
+  std::vector<nn::Layer*> spiking;
+  for (std::size_t i = 0; i < net_->size(); ++i)
+    if (set_layer_probe(net_->layer(i), true))
+      spiking.push_back(&net_->layer(i));
   net_->forward(replicate_over_time(x, time_steps_), nn::Mode::kEval);
   std::vector<obs::ActivityStats> stats;
-  stats.reserve(lifs.size());
-  for (std::size_t i = 0; i < lifs.size(); ++i) {
-    lifs[i]->set_probe(false);
-    obs::ActivityStats s = lifs[i]->last_activity();
+  stats.reserve(spiking.size());
+  for (std::size_t i = 0; i < spiking.size(); ++i) {
+    obs::ActivityStats s = *set_layer_probe(*spiking[i], false);
+    // One index over LIF and ALIF layers alike, as in the serve sketch.
     s.layer = "lif" + std::to_string(i);
     stats.push_back(std::move(s));
   }

@@ -46,11 +46,12 @@ class SpikingClassifier final : public nn::Classifier {
   /// (V_th, T) grid cells.
   std::vector<double> spike_rates() const;
 
-  /// Run one probed forward on `x` and return per-LIF-layer activity
-  /// statistics (firing rate, spike counts, silent/saturated fractions,
-  /// membrane-potential histograms). Layers are labeled "lif0".."lifK" in
-  /// stack order. The probe machinery is disarmed again before returning,
-  /// so subsequent forwards pay no extra cost.
+  /// Run one probed forward on `x` and return per-spiking-layer (LIF and
+  /// ALIF) activity statistics (firing rate, spike counts, silent/saturated
+  /// fractions, membrane-potential histograms). Layers are labeled
+  /// "lif0".."lifK" in stack order, whatever their neuron model. The probe
+  /// machinery is disarmed again before returning, so subsequent forwards
+  /// pay no extra cost.
   std::vector<obs::ActivityStats> collect_activity(const tensor::Tensor& x);
 
   /// Replicate [N, ...] into time-major [T*N, ...].

@@ -67,19 +67,6 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w->thread.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  auto boxed = std::make_unique<std::function<void()>>(std::move(task));
-  post(
-      next_submit_++ % workers_.size(),
-      [](void* p, std::size_t) {
-        const std::unique_ptr<std::function<void()>> fn(
-            static_cast<std::function<void()>*>(p));
-        (*fn)();
-      },
-      boxed.get());
-  boxed.release();  // the queued task owns it now
-}
-
 void ThreadPool::post(std::size_t worker, TaskFn run, void* arg) {
   SNNSEC_CHECK(worker < workers_.size(),
                "post() to worker " << worker << " of " << workers_.size());
@@ -94,7 +81,6 @@ void ThreadPool::post(std::size_t worker, TaskFn run, void* arg) {
     std::lock_guard lock(mutex_);
     SNNSEC_CHECK(!stop_, "post() on stopped ThreadPool");
     inbox.put(entry);
-    ++in_flight_;
     depth = ++queued_;
   }
   // The task is queued now, so nothing below may throw: the caller would
@@ -104,11 +90,6 @@ void ThreadPool::post(std::size_t worker, TaskFn run, void* arg) {
     metrics::counter_add("pool.tasks", 1);
     metrics::gauge_set("pool.queue_depth", static_cast<double>(depth));
   });
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::worker_loop(std::size_t index) {
@@ -140,23 +121,13 @@ void ThreadPool::worker_loop(std::size_t index) {
       metrics::histogram_observe("pool.task_wait_ms", wait_ms, kWaitBoundsMs,
                                  std::size(kWaitBoundsMs));
     });
-    // in_flight_ must reach zero even when the task throws — otherwise
-    // wait_idle() deadlocks — so the decrement is RAII, not a statement
-    // after the call.
-    struct InFlightGuard {
-      ThreadPool& pool;
-      ~InFlightGuard() {
-        std::lock_guard lock(pool.mutex_);
-        if (--pool.in_flight_ == 0) pool.cv_idle_.notify_all();
-      }
-    } guard{*this};
     try {
       task.run(task.arg, index);
     } catch (...) {
-      // A raw submit() has no caller to deliver the exception to
-      // (parallel_for's tasks catch and latch their own); letting it escape a
-      // worker thread would std::terminate the process mid-sweep. Swallow
-      // it, count the drop, keep the worker alive.
+      // Safety net: post() asks for tasks that do not throw (parallel_for's
+      // catch and latch their own), and a worker has no caller to hand an
+      // exception to. Letting one escape would std::terminate the process
+      // mid-sweep, so swallow it, count it and keep the worker alive.
       emit_metrics([] { metrics::counter_add("pool.task_exceptions", 1); });
     }
   }

@@ -13,12 +13,10 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -41,19 +39,15 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue a task on the next pool thread in round-robin order. The pool
-  /// owns the task (boxed on the heap), so this allocates; hot loops go
-  /// through parallel_for, which posts non-owning tasks instead.
-  void submit(std::function<void()> task);
-
   /// Enqueue run(arg, worker) on pool thread `worker` (< size()), behind
-  /// whatever that thread already has queued. The caller keeps *arg alive
-  /// until run has returned, and run must not throw. Allocates nothing unless
-  /// the worker's task ring is full; the ring then doubles and never shrinks.
+  /// whatever that thread already has queued; each thread runs its tasks in
+  /// posting order. The caller keeps *arg alive until run has returned.
+  /// run should not throw: if it does, the worker swallows the exception,
+  /// counts it in pool.task_exceptions and goes on with its next task.
+  /// Allocates nothing unless the worker's task ring is full; the ring then
+  /// doubles and never shrinks. The destructor runs every task already
+  /// posted before it joins the threads.
   void post(std::size_t worker, TaskFn run, void* arg);
-
-  /// Block until every submitted task has completed.
-  void wait_idle();
 
   /// Process-wide pool (lazily constructed; size from SNNSEC_THREADS or
   /// hardware_concurrency).
@@ -92,11 +86,8 @@ class ThreadPool {
   void worker_loop(std::size_t index);
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::atomic<std::size_t> next_submit_{0};  ///< submit()'s round-robin turn
   std::size_t queued_ = 0;  ///< tasks in every inbox
   std::mutex mutex_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 

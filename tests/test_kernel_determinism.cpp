@@ -43,7 +43,7 @@ TEST(KernelDeterminism, StraddlingOperandBatchedVsSingleBitIdentical) {
   util::Rng rng_x(5);
   const Tensor x = straddle_batch(rng_x);
   for (const SparsityHint hint :
-       {SparsityHint::kDense, SparsityHint::kSparse, SparsityHint::kEvents}) {
+       {SparsityHint::kDense, SparsityHint::kEvents}) {
     util::Rng rng_w(97);  // same seed per hint -> identical weights
     nn::Linear fc(64, 10, rng_w);
     fc.set_input_hint(hint);
@@ -63,13 +63,13 @@ TEST(KernelDeterminism, StraddlingOperandBatchedVsSingleBitIdentical) {
 }
 
 TEST(KernelDeterminism, HintsAgreeOnValues) {
-  // All three kernels compute the same product; only the summation
+  // Both kernels compute the same product; only the summation
   // association may differ. Near-threshold data must not change that.
   util::Rng rng_x(6);
   const Tensor x = straddle_batch(rng_x);
   std::vector<Tensor> ys;
   for (const SparsityHint hint :
-       {SparsityHint::kDense, SparsityHint::kSparse, SparsityHint::kEvents}) {
+       {SparsityHint::kDense, SparsityHint::kEvents}) {
     util::Rng rng_w(98);
     nn::Linear fc(64, 10, rng_w);
     fc.set_input_hint(hint);
@@ -87,21 +87,12 @@ TEST(KernelDeterminism, ResolutionIsSticky) {
   nn::Linear fc(16, 4, rng);
   const Tensor x = Tensor::randn(Shape{2, 16}, rng);
   (void)fc.forward(x, nn::Mode::kEval);
-  EXPECT_THROW(fc.set_input_hint(SparsityHint::kSparse), util::Error);
+  EXPECT_THROW(fc.set_input_hint(SparsityHint::kEvents), util::Error);
 
   nn::Conv2d conv(nn::Conv2dSpec{1, 2, 3, 1, 1}, rng);
   const Tensor xc = Tensor::randn(Shape{1, 1, 6, 6}, rng);
   (void)conv.forward(xc, nn::Mode::kEval);
   EXPECT_THROW(conv.set_input_hint(SparsityHint::kEvents), util::Error);
-}
-
-TEST(KernelDeterminism, ConvRejectsRowSparseHint) {
-  // Conv's GEMM puts the spike operand on the column side, where the
-  // row-skip kernel cannot see the sparsity — accepting the hint would
-  // silently run dense. It must be rejected loudly instead.
-  util::Rng rng(53);
-  nn::Conv2d conv(nn::Conv2dSpec{1, 2, 3, 1, 1}, rng);
-  EXPECT_THROW(conv.set_input_hint(SparsityHint::kSparse), util::Error);
 }
 
 /// A spiking LeNet whose every spiking layer fires within T = 6 on

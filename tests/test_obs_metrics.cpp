@@ -138,16 +138,25 @@ TEST(ObsRegistry, ConcurrentIncrementsViaThreadPool) {
   Histogram& h = reg.histogram("test.concurrent.h", {0.5});
   constexpr int kTasks = 64;
   constexpr int kPerTask = 250;
-  util::ThreadPool& pool = util::ThreadPool::global();
-  for (int t = 0; t < kTasks; ++t) {
-    pool.submit([&c, &h] {
-      for (int i = 0; i < kPerTask; ++i) {
-        c.add();
-        h.observe(i % 2 == 0 ? 0.25 : 0.75);
-      }
-    });
-  }
-  pool.wait_idle();
+  struct Series {
+    Counter& c;
+    Histogram& h;
+  } series{c, h};
+  {
+    util::ThreadPool pool(4);
+    for (int t = 0; t < kTasks; ++t) {
+      pool.post(
+          static_cast<std::size_t>(t) % pool.size(),
+          [](void* p, std::size_t) {
+            Series& s = *static_cast<Series*>(p);
+            for (int i = 0; i < kPerTask; ++i) {
+              s.c.add();
+              s.h.observe(i % 2 == 0 ? 0.25 : 0.75);
+            }
+          },
+          &series);
+    }
+  }  // the destructor runs every queued task before joining
   EXPECT_EQ(c.value(), kTasks * kPerTask);
   const Histogram::Snapshot s = h.snapshot();
   EXPECT_EQ(s.count, kTasks * kPerTask);

@@ -126,6 +126,32 @@ TEST(SpikingClassifierProbe, CollectActivityLabelsLayers) {
   EXPECT_EQ(logits.dim(0), 2);
 }
 
+TEST(SpikingClassifierProbe, CollectActivityCoversAlifLayers) {
+  // An ALIF LeNet spikes in its encoder and in every hidden layer, like the
+  // LIF one; each of them must report, not only the LIF encoder.
+  nn::LenetSpec spec = nn::LenetSpec{}.scaled(0.25);
+  spec.image_size = 8;
+  snn::SnnConfig cfg;
+  cfg.time_steps = 5;
+  const Tensor x(Shape{2, 1, 8, 8}, 0.8f);
+  util::Rng lif_rng(7);
+  auto lif_model = snn::build_spiking_lenet(spec, cfg, lif_rng);
+  const std::size_t lif_layers = lif_model->collect_activity(x).size();
+  cfg.neuron_model = snn::NeuronModel::kAlif;
+  util::Rng rng(7);
+  auto model = snn::build_spiking_lenet(spec, cfg, rng);
+  const std::vector<ActivityStats> acts = model->collect_activity(x);
+  EXPECT_EQ(acts.size(), 5u);  // encoder, conv1, conv2, conv3, fc1
+  EXPECT_EQ(acts.size(), lif_layers);
+  EXPECT_EQ(acts.size(), model->spike_rates().size());
+  for (std::size_t i = 0; i < acts.size(); ++i) {
+    EXPECT_EQ(acts[i].layer, "lif" + std::to_string(i));
+    EXPECT_GT(acts[i].neuron_steps, 0);
+    EXPECT_EQ(acts[i].v_hist.size(),
+              static_cast<std::size_t>(acts[i].v_spec.buckets));
+  }
+}
+
 TEST(RecordActivity, PublishesSeries) {
   ActivityStats s;
   s.layer = "lif_test";

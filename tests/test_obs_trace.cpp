@@ -114,20 +114,22 @@ TEST_F(ObsTraceTest, OuterSpanCoversInner) {
 }
 
 TEST_F(ObsTraceTest, PoolWorkersGetOwnTracks) {
-  util::ThreadPool& pool = util::ThreadPool::global();
-  constexpr int kTasks = 8;
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([] {
-      SNNSEC_TRACE_SCOPE("worker_span");
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    });
-  }
-  pool.wait_idle();
+  constexpr std::size_t kTasks = 8;
+  {
+    util::ThreadPool pool(2);
+    for (std::size_t i = 0; i < kTasks; ++i)
+      pool.post(
+          i % pool.size(),
+          [](void*, std::size_t) {
+            SNNSEC_TRACE_SCOPE("worker_span");
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+          },
+          nullptr);
+  }  // the destructor runs every queued task before joining
   {
     SNNSEC_TRACE_SCOPE("main_span");
   }
-  EXPECT_EQ(Tracer::instance().event_count(),
-            static_cast<std::size_t>(kTasks) + 1u);
+  EXPECT_EQ(Tracer::instance().event_count(), kTasks + 1u);
   std::ostringstream oss;
   Tracer::instance().write(oss);
   const std::string json = oss.str();

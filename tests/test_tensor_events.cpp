@@ -1,7 +1,7 @@
 // Event-driven spike kernels: compressed event lists, the event-accumulate
 // GEMM, both conv formulations (patch-list reference and production
-// scatter), the zero-alloc steady state of the layers and of whole
-// AnytimeRunner batches, and the probe_sparse tail-coverage regression.
+// scatter), and the zero-alloc steady state of the layers and of whole
+// AnytimeRunner batches.
 //
 // The determinism assertions here are the teeth behind DESIGN.md §14: the
 // event kernels must be bit-identical across batch sizes and serial/parallel
@@ -489,28 +489,6 @@ TEST(AnytimeRunnerEvents, RepeatedBatchesAreAllocationFree) {
   }
   EXPECT_EQ(g_allocs.load() - before, 0)
       << "begin() + T x step() allocated on the steady state";
-}
-
-TEST(ProbeSparse, RoundedPositionsCoverTheMatrixTail) {
-  // Regression for the floor-stride sampler: with total = 511 and 256
-  // samples the old walk (pos = t * (total / samples)) visited positions
-  // 0..255 only, so a matrix whose character changes past the midpoint was
-  // judged entirely by its head. The rounded-endpoint positions span the
-  // full range, with t = samples-1 landing exactly on total-1.
-  const std::int64_t m = 7, k = 73;  // total = 511, not divisible by 256
-  std::vector<float> a(static_cast<std::size_t>(m * k));
-
-  // Head all zero, tail all ones: ~50% zeros overall -> below the 60%
-  // threshold, so the verdict must be dense. The old sampler saw only the
-  // zero head and reported sparse.
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = (i < 256) ? 0.0f : 1.0f;
-  EXPECT_FALSE(probe_sparse(Trans::kNo, a.data(), k, m, k));
-
-  // Head dense, zeros concentrated in the tail: ~70% zeros overall -> the
-  // verdict must be sparse, which requires actually sampling the tail (the
-  // old sampler saw ~40% zeros in its truncated window and said dense).
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = (i < 153) ? 1.0f : 0.0f;
-  EXPECT_TRUE(probe_sparse(Trans::kNo, a.data(), k, m, k));
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,8 +18,8 @@
 #include "lint.hpp"
 #include "source_view.hpp"
 
+using snnsec::lint::content_digest;
 using snnsec::lint::FileCache;
-using snnsec::lint::fnv1a;
 
 namespace {
 
@@ -36,7 +37,7 @@ struct PathGuard {
 
 TEST(FileCache, LookupMissesThenHitsAndCountsBoth) {
   FileCache cache("", "v1");  // empty path: in-memory only
-  const std::uint64_t d = fnv1a("contents");
+  const std::uint64_t d = content_digest("contents");
   EXPECT_FALSE(cache.lookup("a.cpp", d).has_value());
   cache.store("a.cpp", d, "payload");
   const auto hit = cache.lookup("a.cpp", d);
@@ -46,24 +47,45 @@ TEST(FileCache, LookupMissesThenHitsAndCountsBoth) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
+TEST(ContentDigest, SeparatesNearbyContents) {
+  // A collision would serve a stale cache entry for an edited file. Every
+  // prefix of a 100-byte text (the zero-padded tail words included), every
+  // one-bit flip of it and a trailing NUL must all digest differently.
+  std::string text;
+  for (int i = 0; i < 100; ++i) text += static_cast<char>('a' + i % 26);
+  std::set<std::uint64_t> seen;
+  std::size_t inputs = 0;
+  for (std::size_t n = 0; n <= text.size(); ++n, ++inputs)
+    seen.insert(content_digest(std::string_view(text).substr(0, n)));
+  for (std::size_t i = 0; i < text.size(); ++i)
+    for (int bit = 0; bit < 8; ++bit, ++inputs) {
+      std::string flipped = text;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      seen.insert(content_digest(flipped));
+    }
+  seen.insert(content_digest(text + '\0'));
+  ++inputs;
+  EXPECT_EQ(seen.size(), inputs);
+}
+
 TEST(FileCache, DigestChangeInvalidatesEntry) {
   FileCache cache("", "v1");
-  cache.store("a.cpp", fnv1a("old"), "stale");
-  EXPECT_FALSE(cache.lookup("a.cpp", fnv1a("new")).has_value());
+  cache.store("a.cpp", content_digest("old"), "stale");
+  EXPECT_FALSE(cache.lookup("a.cpp", content_digest("new")).has_value());
   // Storing under the new digest replaces the stale entry, not adds to it.
-  cache.store("a.cpp", fnv1a("new"), "fresh");
+  cache.store("a.cpp", content_digest("new"), "fresh");
   EXPECT_EQ(cache.entries(), 1u);
-  EXPECT_EQ(*cache.lookup("a.cpp", fnv1a("new")), "fresh");
+  EXPECT_EQ(*cache.lookup("a.cpp", content_digest("new")), "fresh");
 }
 
 TEST(FileCache, RoundTripsThroughDisk) {
   PathGuard guard{temp_cache_path("roundtrip")};
-  const std::uint64_t d = fnv1a("body");
+  const std::uint64_t d = content_digest("body");
   {
     FileCache cache(guard.path, "v1");
     // Payloads are opaque blobs: newlines and separators must survive.
     cache.store("dir/a.cpp", d, "line1\nline2\x1f tail");
-    cache.store("dir/b.cpp", fnv1a("other"), "");
+    cache.store("dir/b.cpp", content_digest("other"), "");
     ASSERT_TRUE(cache.save());
   }
   FileCache reloaded(guard.path, "v1");
@@ -77,12 +99,12 @@ TEST(FileCache, VersionBumpDiscardsWholeCache) {
   PathGuard guard{temp_cache_path("version")};
   {
     FileCache cache(guard.path, "rules-v1");
-    cache.store("a.cpp", fnv1a("body"), "payload");
+    cache.store("a.cpp", content_digest("body"), "payload");
     ASSERT_TRUE(cache.save());
   }
   FileCache reloaded(guard.path, "rules-v2");
   EXPECT_EQ(reloaded.entries(), 0u);
-  EXPECT_FALSE(reloaded.lookup("a.cpp", fnv1a("body")).has_value());
+  EXPECT_FALSE(reloaded.lookup("a.cpp", content_digest("body")).has_value());
 }
 
 TEST(FileCache, EmptyPathIsANoOpCache) {
@@ -113,7 +135,7 @@ TEST(FileCache, WarmRerunIsUnderTenPercentOfCold) {
     const auto t0 = std::chrono::steady_clock::now();
     std::size_t linted = 0;
     for (const auto& [path, src] : files) {
-      const std::uint64_t digest = fnv1a(src);
+      const std::uint64_t digest = content_digest(src);
       if (cache.lookup(path, digest).has_value()) continue;
       const auto r = snnsec::lint::lint_source(path, src);
       cache.store(path, digest, std::to_string(r.findings.size()));

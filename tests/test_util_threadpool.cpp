@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -14,19 +17,42 @@
 namespace snnsec::util {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i)
-    pool.submit([&count] { count.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
+/// Task that bumps the std::atomic<int> it is posted with.
+void count_task(void* p, std::size_t) {
+  static_cast<std::atomic<int>*>(p)->fetch_add(1);
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
+/// Block until every task posted to `worker` so far has run: a worker runs
+/// its tasks in posting order, so a sentinel queued behind them runs last.
+void drain(ThreadPool& pool, std::size_t worker) {
+  struct Sentinel {
+    std::mutex m;
+    std::condition_variable cv;
+    bool done = false;
+  } sentinel;
+  pool.post(
+      worker,
+      [](void* p, std::size_t) {
+        Sentinel& s = *static_cast<Sentinel*>(p);
+        // Notify under the lock: the waiter cannot return and destroy the
+        // sentinel before this critical section ends.
+        std::lock_guard lock(s.m);
+        s.done = true;
+        s.cv.notify_one();
+      },
+      &sentinel);
+  std::unique_lock lock(sentinel.m);
+  sentinel.cv.wait(lock, [&sentinel] { return sentinel.done; });
+}
+
+TEST(ThreadPool, RunsEveryPostedTask) {
+  std::atomic<int> count{0};
+  {
+    ThreadPool pool(4);
+    for (std::size_t i = 0; i < 100; ++i)
+      pool.post(i % pool.size(), count_task, &count);
+  }  // the destructor runs every queued task before joining
+  EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
@@ -86,30 +112,44 @@ TEST(ParallelFor, LargeGrainRunsSerially) {
   for (const int h : hits) EXPECT_EQ(h, 1);
 }
 
-TEST(ThreadPool, ThrowingSubmittedTaskDoesNotTerminateOrDeadlock) {
-  // Regression: worker_loop ran task.fn() unprotected, so a throwing task
-  // submitted via submit() escaped the worker thread (std::terminate) and
-  // left in_flight_ forever non-zero (wait_idle() deadlock).
-  ThreadPool pool(2);
+std::atomic<int> g_task_exceptions{0};
+
+TEST(ThreadPool, ThrowingPostedTaskIsCountedAndPoolSurvives) {
+  // Regression: worker_loop ran the task unprotected, so a throwing task
+  // escaped the worker thread (std::terminate). The worker must swallow it,
+  // count it in pool.task_exceptions and go on with its queue.
+  MetricsHooks& hooks = metrics_hooks();
+  struct Restore {
+    MetricsHooks& hooks;
+    MetricsHooks saved;
+    ~Restore() { hooks = saved; }
+  } restore{hooks, hooks};
+  hooks = MetricsHooks{};
+  hooks.counter_add = [](const char* name, std::int64_t delta) {
+    if (std::string_view(name) == "pool.task_exceptions")
+      g_task_exceptions.fetch_add(static_cast<int>(delta));
+  };
+  g_task_exceptions.store(0);
+  const ThreadPool::TaskFn count_then_throw = [](void* p, std::size_t) {
+    count_task(p, 0);
+    throw Error("boom");
+  };
   std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i)
-    pool.submit([&ran, i] {
-      ran.fetch_add(1);
-      if (i % 2 == 0) throw Error("boom");
-    });
-  pool.wait_idle();  // must return even though half the tasks threw
-  EXPECT_EQ(ran.load(), 8);
-  // The pool must still be fully operational afterwards.
-  std::atomic<int> after{0};
-  for (int i = 0; i < 16; ++i) pool.submit([&after] { after.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(after.load(), 16);
+  {
+    ThreadPool pool(2);
+    for (std::size_t i = 0; i < 8; ++i)  // tasks 0, 1, 4, 5 throw
+      pool.post(i % 2, (i / 2) % 2 == 0 ? count_then_throw : count_task, &ran);
+    // Each worker must still run what is queued behind its throwing tasks.
+    for (std::size_t i = 0; i < 16; ++i) pool.post(i % 2, count_task, &ran);
+  }
+  EXPECT_EQ(ran.load(), 24);
+  EXPECT_EQ(g_task_exceptions.load(), 4);
 }
 
 TEST(ThreadPool, ThrowingTaskOnGlobalPoolLeavesParallelForWorking) {
   ThreadPool& pool = ThreadPool::global();
-  pool.submit([] { throw Error("swallowed"); });
-  pool.wait_idle();
+  pool.post(0, [](void*, std::size_t) { throw Error("swallowed"); }, nullptr);
+  drain(pool, 0);
   // Subsequent parallel_for_chunked calls on the same pool must be intact.
   std::atomic<std::int64_t> sum{0};
   parallel_for_chunked(0, 1000, [&](std::int64_t lo, std::int64_t hi) {
@@ -188,11 +228,11 @@ TEST(ThreadPool, PostedTasksRunInOrderOnTheirWorkerThroughRingGrowth) {
     while (!l.release.load()) std::this_thread::yield();
   };
   for (int i = 0; i < 10; ++i) pool.post(1, record, &items[i]);
-  pool.wait_idle();
+  drain(pool, 1);
   pool.post(1, hold, &log);
   for (int i = 10; i < kTasks; ++i) pool.post(1, record, &items[i]);
   log.release.store(true);
-  pool.wait_idle();
+  drain(pool, 1);
   std::vector<int> want(kTasks);
   std::iota(want.begin(), want.end(), 0);
   EXPECT_EQ(log.order, want);
@@ -202,7 +242,7 @@ TEST(ThreadPool, PostedTasksRunInOrderOnTheirWorkerThroughRingGrowth) {
 TEST(ThreadPool, ThrowingMetricsHookLosesNoTask) {
   // The pool emits metrics through installed hooks around each handoff, and
   // a hook may throw. A task that is already queued must still run exactly
-  // once: submit() must not unwind (freeing the task it queued) and the
+  // once: post() must not unwind as if it had not queued the task, and the
   // worker must neither drop the task it took nor die.
   MetricsHooks& hooks = metrics_hooks();
   struct Restore {
@@ -218,8 +258,7 @@ TEST(ThreadPool, ThrowingMetricsHookLosesNoTask) {
   std::atomic<int> ran{0};
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 8; ++i) pool.submit([&ran] { ran.fetch_add(1); });
-    pool.wait_idle();
+    for (std::size_t i = 0; i < 8; ++i) pool.post(i % 2, count_task, &ran);
   }
   EXPECT_EQ(ran.load(), 8);
 }

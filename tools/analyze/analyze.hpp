@@ -12,8 +12,8 @@
 //      snnsec-hot-path-io      even in files without the file marker.
 //   A2 lock-order discipline   acquisition-order graph over named mutexes;
 //      snnsec-lock-cycle       cycles are potential deadlocks, and blocking
-//      snnsec-lock-across-wait (CV waits, pool.submit/wait_idle, sleeps)
-//                              while holding an unrelated lock is reported.
+//      snnsec-lock-across-wait (CV waits and sleeps) while holding an
+//                              unrelated lock is reported.
 //   A3 concurrency heuristics  fields written both under a lock guard and
 //      snnsec-mixed-guard      bare, and relaxed-ordering atomics whose
 //      snnsec-relaxed-atomic   names suggest flag/state (non-counter) roles.
@@ -63,10 +63,10 @@ struct LockAcq {
   std::vector<std::string> held;  ///< exprs held when this one is acquired
 };
 
-/// A blocking point: CV wait, pool submit/wait_idle, or a sleep.
+/// A blocking point: a CV wait or a sleep.
 struct WaitSite {
   int line = 0;
-  std::string what;          ///< "cv.wait", "submit", "wait_idle", "sleep"
+  std::string what;          ///< "cv.wait" or "sleep"
   std::string released;      ///< mutex expr a CV wait releases ("" otherwise)
   std::vector<std::string> held;
 };

@@ -878,11 +878,6 @@ class Extractor {
         i = close_or(after, s, call_paren);
         continue;
       }
-      if (is_call && (tail == "submit" || tail == "wait_idle") &&
-          chain != "submit" && chain.find('.') != std::string::npos) {
-        fn.waits.push_back({line, std::string(tail), "", held()});
-        // fall through to also record the call edge below
-      }
       if (is_call && (tail == "sleep_for" || tail == "sleep_until" ||
                       chain == "sleep_for_ms" ||
                       chain == "util::sleep_for_ms")) {
@@ -1109,7 +1104,7 @@ FileModel extract_model(const std::string& path, const std::string& content) {
   return Extractor(path, view).run();
 }
 
-std::string_view analyze_cache_version() { return "analyze-v1"; }
+std::string_view analyze_cache_version() { return "analyze-v2"; }
 
 std::string serialize_model(const FileModel& model) {
   std::string out;

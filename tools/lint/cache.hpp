@@ -1,6 +1,6 @@
 // Content-hash result cache shared by snnsec_lint and snnsec_analyze.
 //
-// Keyed on (path, FNV-1a content digest) and stamped with a tool version
+// Keyed on (path, content digest) and stamped with a tool version
 // string that callers bump whenever the rule set or the serialized payload
 // format changes — a version mismatch discards the whole cache. The payload
 // is an opaque text blob: snnsec_lint stores serialized findings per file,

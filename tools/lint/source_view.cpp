@@ -1,6 +1,7 @@
 #include "source_view.hpp"
 
 #include <cctype>
+#include <cstring>
 #include <sstream>
 
 namespace snnsec::lint {
@@ -214,12 +215,53 @@ bool suppressed_at(const SourceView& view, int line, const std::string& rule) {
          applies(view.comments[i - 1], true);
 }
 
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
+namespace {
+
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
+
+std::uint64_t rotl(std::uint64_t x, int r) {
+  return (x << r) | (x >> (64 - r));
+}
+
+/// Fold one 8-byte word into a lane (the xxHash64 round).
+std::uint64_t mix(std::uint64_t lane, std::uint64_t word) {
+  return rotl(lane + word * kPrime2, 31) * kPrime1;
+}
+
+std::uint64_t load_word(const char* p, std::size_t n = 8) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, n);
+  return w;
+}
+
+}  // namespace
+
+std::uint64_t content_digest(std::string_view s) {
+  // Four independent lanes eat 32 bytes per iteration, so their multiplies
+  // overlap instead of queuing behind one another as a byte-serial hash's
+  // do. The tail goes word by word into the lanes in turn, the last partial
+  // word zero-padded; the length then tells "ab" from "ab\0".
+  std::uint64_t lane[4] = {kPrime1, kPrime2, ~kPrime1, ~kPrime2};
+  const char* p = s.data();
+  std::size_t n = s.size();
+  for (; n >= 32; p += 32, n -= 32)
+    for (int i = 0; i < 4; ++i) lane[i] = mix(lane[i], load_word(p + 8 * i));
+  for (int i = 0; n > 0; ++i) {
+    const std::size_t take = n < 8 ? n : 8;
+    lane[i] = mix(lane[i], load_word(p, take));
+    p += take;
+    n -= take;
   }
+  std::uint64_t h = s.size() * kPrime1;
+  for (const std::uint64_t l : lane) h = (h ^ mix(0, l)) * kPrime1 + kPrime2;
+  // Final avalanche (MurmurHash3 fmix64), so every input bit reaches every
+  // output bit.
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  h ^= h >> 33;
   return h;
 }
 
