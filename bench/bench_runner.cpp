@@ -29,6 +29,7 @@
 
 #include "attacks/pgd.hpp"
 #include "nn/conv2d.hpp"
+#include "oracle/gemm_reference.hpp"
 #include "snn/anytime.hpp"
 #include "snn/lif_layer.hpp"
 #include "snn/spiking_lenet.hpp"

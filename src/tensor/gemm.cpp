@@ -5,7 +5,6 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -230,57 +229,6 @@ Tensor matmul(const Tensor& a, const Tensor& b, Trans trans_a,
   Tensor c(Shape{d.m, d.n});
   gemm(trans_a, trans_b, 1.0f, a, b, 0.0f, c);
   return c;
-}
-
-// ---- frozen seed kernel ----------------------------------------------------
-
-void gemm_reference(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
-                    const Tensor& b, float beta, Tensor& c) {
-  const Dims d = check_dims(trans_a, trans_b, a, b);
-  SNNSEC_CHECK(c.ndim() == 2 && c.dim(0) == d.m && c.dim(1) == d.n,
-               "gemm_reference output shape " << c.shape().to_string()
-                                              << " != [" << d.m << ", " << d.n
-                                              << "]");
-  // Seed implementation, serial, per-call scratch — kept bit-exact on
-  // purpose; see the header note.
-  std::vector<float> bp(static_cast<std::size_t>(d.k * d.n));
-  {
-    const float* pb = b.data();
-    if (trans_b == Trans::kNo) {
-      std::copy(pb, pb + d.k * d.n, bp.begin());
-    } else {
-      const std::int64_t ldb = b.dim(1);
-      for (std::int64_t j = 0; j < d.n; ++j)
-        for (std::int64_t kk = 0; kk < d.k; ++kk)
-          bp[static_cast<std::size_t>(kk * d.n + j)] = pb[j * ldb + kk];
-    }
-  }
-  const float* pb = bp.data();
-  const float* pa = a.data();
-  float* pc = c.data();
-  const std::int64_t lda = a.dim(1);
-  std::vector<float> acc(static_cast<std::size_t>(d.n));
-  for (std::int64_t i = 0; i < d.m; ++i) {
-    std::fill(acc.begin(), acc.end(), 0.0f);
-    for (std::int64_t kk = 0; kk < d.k; ++kk) {
-      const float av =
-          (trans_a == Trans::kNo) ? pa[i * lda + kk] : pa[kk * lda + i];
-      // NOLINTNEXTLINE(snnsec-float-eq): spike operands are exactly 0 or 1; the sparsity skip must only drop true zeros
-      if (av == 0.0f) continue;
-      const float* brow = pb + kk * d.n;
-      for (std::int64_t j = 0; j < d.n; ++j)
-        acc[static_cast<std::size_t>(j)] += av * brow[j];
-    }
-    float* crow = pc + i * d.n;
-    // NOLINTNEXTLINE(snnsec-float-eq): beta exactly 0 selects the overwrite path; near-zero must still scale C
-    if (beta == 0.0f) {
-      for (std::int64_t j = 0; j < d.n; ++j)
-        crow[j] = alpha * acc[static_cast<std::size_t>(j)];
-    } else {
-      for (std::int64_t j = 0; j < d.n; ++j)
-        crow[j] = beta * crow[j] + alpha * acc[static_cast<std::size_t>(j)];
-    }
-  }
 }
 
 }  // namespace snnsec::tensor

@@ -16,8 +16,9 @@
 //
 // All scratch (pack buffers, accumulators) comes from the per-thread
 // util::Workspace arena: steady-state calls perform zero heap allocations.
-// The seed scalar kernel survives verbatim as gemm_reference(), the numerics
-// baseline the property tests and bench_runner compare against.
+// The seed scalar kernel survives verbatim as gemm_reference() in the
+// tests-only oracle library (tests/oracle), the numerics baseline the
+// property tests and bench_runner compare against.
 //
 // Parallelized over row blocks of C through util::parallel_for_chunked; with
 // SNNSEC_THREADS=1 every path is fully deterministic.
@@ -58,13 +59,5 @@ void gemm_raw(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
               std::int64_t k, float alpha, const float* a, std::int64_t lda,
               const float* b, std::int64_t ldb, float beta, float* c,
               std::int64_t ldc);
-
-/// The seed scalar kernel, frozen: serial row-panel loop with the
-/// per-element zero-skip and per-call heap scratch. Not for production use —
-/// it exists so tests can pin the blocked kernel's numerics to the exact
-/// code the repo grew up on, and so bench_runner can report speedup against
-/// a stable baseline.
-void gemm_reference(Trans trans_a, Trans trans_b, float alpha, const Tensor& a,
-                    const Tensor& b, float beta, Tensor& c);
 
 }  // namespace snnsec::tensor

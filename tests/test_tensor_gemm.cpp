@@ -5,6 +5,7 @@
 #include <tuple>
 #include <vector>
 
+#include "oracle/gemm_reference.hpp"
 #include "tensor/gemm.hpp"
 #include "util/rng.hpp"
 
