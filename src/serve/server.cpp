@@ -267,9 +267,11 @@ void Server::drive_inline(Slot& own) {
     // the execution lock), so next_batch is guaranteed to make progress.
     // With supervision, heal/canary first: a requeued request must not
     // land back on the quarantined replica it just escaped.
+    // NOLINTNEXTLINE(snnsec-lock-across-wait): inline_m_ serializes inline executors; the wait below is a parallel_for join on pool workers, which never take inline_m_
     if (sup_) maintain();
     // NOLINTNEXTLINE(snnsec-lock-across-wait): inline_m_ serializes inline executors; wait bounded by flush deadline
     const std::int64_t n = batcher_.next_batch(ctx_.slots.data());
+    // NOLINTNEXTLINE(snnsec-lock-across-wait): inline_m_ serializes inline executors; the wait below is a parallel_for join on pool workers, which never take inline_m_
     if (n > 0) execute_batch(n);
   }
 }
@@ -734,12 +736,16 @@ void Server::supervise_loop() {
       if (lk.owns_lock()) {
         if (ctx_.state.load(std::memory_order_acquire) ==
             ReplicaState::kQuarantined) {
+          // NOLINTNEXTLINE(snnsec-lock-across-wait): inline_m_ serializes inline executors; the wait below is a parallel_for join on pool workers, which never take inline_m_
           heal();
         } else {
+          // NOLINTNEXTLINE(snnsec-lock-across-wait): inline_m_ serializes inline executors; the wait below is a parallel_for join on pool workers, which never take inline_m_
           deep_canary();
           if (ctx_.state.load(std::memory_order_acquire) ==
-              ReplicaState::kQuarantined)
+              ReplicaState::kQuarantined) {
+            // NOLINTNEXTLINE(snnsec-lock-across-wait): inline_m_ serializes inline executors; the wait below is a parallel_for join on pool workers, which never take inline_m_
             heal();
+          }
         }
       }
     }

@@ -71,7 +71,6 @@ void ThreadPool::post(std::size_t worker, TaskFn run, void* arg) {
   SNNSEC_CHECK(worker < workers_.size(),
                "post() to worker " << worker << " of " << workers_.size());
   Worker& target = *workers_[worker];
-  TaskRing& inbox = target.inbox;
   Task entry{run, arg, {}};
   if (metrics::enabled())
     entry.enqueued = std::chrono::steady_clock::now();
@@ -80,7 +79,7 @@ void ThreadPool::post(std::size_t worker, TaskFn run, void* arg) {
     // NOLINTNEXTLINE(snnsec-hot-path-lock): queue handoff, O(1) critical section
     std::lock_guard lock(mutex_);
     SNNSEC_CHECK(!stop_, "post() on stopped ThreadPool");
-    inbox.put(entry);
+    target.inbox.put(entry);
     depth = ++queued_;
   }
   // The task is queued now, so nothing below may throw: the caller would

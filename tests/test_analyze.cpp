@@ -481,6 +481,34 @@ TEST(AnalyzeHotPath, FleetDispatchReachesHelperAlloc) {
                      "src/fleet/wire_helpers.cpp", 2));
 }
 
+// A method called through a member of a member resolves against the inner
+// member's class: here Ring::put, whose growth is on the hot path.
+TEST(AnalyzeHotPath, MemberOfMemberCallResolvesToTheInnerClass) {
+  const auto r = run({
+      {"src/util/pool.cpp",
+       "// fixture\n"
+       "class Ring {\n"
+       " public:\n"
+       "  void put(int v);\n"
+       " private:\n"
+       "  std::vector<int> slots_;\n"
+       "};\n"
+       "struct Worker {\n"
+       "  Ring inbox;\n"
+       "};\n"
+       "// SNNSEC_HOT entry: task handoff\n"
+       "void post(Worker& target, int v) {\n"
+       "  target.inbox.put(v);\n"
+       "}\n"},
+      {"src/util/ring.cpp",
+       "void Ring::put(int v) {\n"
+       "  slots_.push_back(v);\n"  // line 2: growth on the hot path
+       "}\n"},
+  });
+  EXPECT_TRUE(
+      has_at(r.findings, "snnsec-hot-path-alloc", "src/util/ring.cpp", 2));
+}
+
 // ---- L: layering and include cycles ---------------------------------------
 
 TEST(AnalyzeLayering, UtilMustNotIncludeUpperLayers) {

@@ -319,9 +319,17 @@ class Analyzer {
     }
     const std::size_t dot = chain.rfind('.');
     if (dot != std::string::npos) {
-      const std::string base = chain.substr(0, chain.find('.'));
+      std::size_t at = chain.find('.');
       const std::string method = chain.substr(dot + 1);
-      const std::string cls = type_to_class(base_type_of(fid, base));
+      std::string cls = type_to_class(base_type_of(fid, chain.substr(0, at)));
+      // Each intermediate member retypes the chain: in target.inbox.put the
+      // method belongs to inbox's class, not to target's.
+      while (!cls.empty() && at < dot) {
+        const std::size_t next = chain.find('.', at + 1);
+        cls = type_to_class(
+            member_lookup(cls, chain.substr(at + 1, next - at - 1)).second);
+        at = next;
+      }
       if (cls.empty()) return {};
       auto it = fn_by_cls_name_.find(cls + "#" + method);
       if (it != fn_by_cls_name_.end()) return it->second;
