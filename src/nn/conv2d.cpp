@@ -134,7 +134,8 @@ void Conv2d::forward_events(const Tensor& x, const float* wt, Tensor& y,
     const float* pb = bias_.value.data();
     const bool has_bias = has_bias_;
     util::parallel_for_chunked(
-        0, cout, [&, py, pb, has_bias, cout](std::int64_t lo, std::int64_t hi) {
+        0, cout, n * cout * ohw,
+        [&, py, pb, has_bias, cout](std::int64_t lo, std::int64_t hi) {
           for (std::int64_t co = lo; co < hi; ++co) {
             const float b = has_bias ? pb[co] : 0.0f;
             for (std::int64_t i = 0; i < n; ++i) {
@@ -195,7 +196,7 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, Mode mode) {
   {
     SNNSEC_TRACE_SCOPE("conv.im2col");
     const float* px = x.data();
-    util::parallel_for(0, n, [&](std::int64_t i) {
+    util::parallel_for(0, n, n * patch * ohw, [&](std::int64_t i) {
       tensor::im2col_ld(g, px + i * image_size, pcol, n * ohw, i * ohw);
     });
   }
@@ -221,7 +222,8 @@ void Conv2d::forward_into(const Tensor& x, Tensor& y, Mode mode) {
     const bool has_bias = has_bias_;
     const std::int64_t cout = spec_.out_channels;
     util::parallel_for_chunked(
-        0, cout, [&, py, pb, has_bias, cout](std::int64_t lo, std::int64_t hi) {
+        0, cout, n * cout * ohw,
+        [&, py, pb, has_bias, cout](std::int64_t lo, std::int64_t hi) {
           for (std::int64_t co = lo; co < hi; ++co) {
             const float b = has_bias ? pb[co] : 0.0f;
             for (std::int64_t i = 0; i < n; ++i) {
@@ -271,21 +273,22 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     SNNSEC_TRACE_SCOPE("conv.grad_reorder");
     const float* pg = grad_out.data();
     float* pb = has_bias_ ? bias_.grad.data() : nullptr;
-    util::parallel_for_chunked(0, cout, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t co = lo; co < hi; ++co) {
-        double bias_acc = 0.0;
-        float* dst = pm + co * (n * ohw);
-        for (std::int64_t i = 0; i < n; ++i) {
-          const float* src = pg + (i * cout + co) * ohw;
-          float* row = dst + i * ohw;
-          for (std::int64_t j = 0; j < ohw; ++j) {
-            row[j] = src[j];
-            bias_acc += src[j];
+    util::parallel_for_chunked(
+        0, cout, n * cout * ohw, [&](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t co = lo; co < hi; ++co) {
+            double bias_acc = 0.0;
+            float* dst = pm + co * (n * ohw);
+            for (std::int64_t i = 0; i < n; ++i) {
+              const float* src = pg + (i * cout + co) * ohw;
+              float* row = dst + i * ohw;
+              for (std::int64_t j = 0; j < ohw; ++j) {
+                row[j] = src[j];
+                bias_acc += src[j];
+              }
+            }
+            if (pb) pb[co] += static_cast<float>(bias_acc);
           }
-        }
-        if (pb) pb[co] += static_cast<float>(bias_acc);
-      }
-    });
+        });
   }
 
   // dW += G x columns^T : [Cout, patch].
@@ -302,7 +305,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   {
     SNNSEC_TRACE_SCOPE("conv.col2im");
     float* px = dx.data();
-    util::parallel_for(0, n, [&](std::int64_t i) {
+    util::parallel_for(0, n, n * patch * ohw, [&](std::int64_t i) {
       tensor::col2im_ld(g, pdcol, px + i * image_size, n * ohw, i * ohw);
     });
   }

@@ -112,25 +112,27 @@ Tensor AlifLayer::forward(const Tensor& x, nn::Mode mode) {
   float* pvd = vd.data();
   float* pb = badapt_cache.data();
 
-  util::parallel_for_chunked(0, per_step, [&](std::int64_t lo, std::int64_t hi) {
-    const std::int64_t len = hi - lo;
-    // State carries come from the worker thread's arena — the per-call
-    // vectors this replaced were a steady malloc/free drumbeat at attack
-    // and serving scale.
-    util::Workspace& tws = util::Workspace::local();
-    util::Workspace::Scope chunk_scope(tws);
-    float* state_i = tws.alloc<float>(static_cast<std::size_t>(len));
-    float* state_v = tws.alloc<float>(static_cast<std::size_t>(len));
-    float* state_b = tws.alloc<float>(static_cast<std::size_t>(len));
-    std::fill(state_i, state_i + len, 0.0f);
-    std::fill(state_v, state_v + len, 0.0f);
-    std::fill(state_b, state_b + len, 0.0f);
-    for (std::int64_t t = 0; t < time_steps_; ++t) {
-      const std::int64_t off = t * per_step + lo;
-      alif_step(params_, len, px + off, state_i, state_v, state_b, pz + off,
-                pvd + off, pb + off);
-    }
-  });
+  util::parallel_for_chunked(
+      0, per_step, per_step * time_steps_,
+      [&](std::int64_t lo, std::int64_t hi) {
+        const std::int64_t len = hi - lo;
+        // State carries come from the worker thread's arena — the per-call
+        // vectors this replaced were a steady malloc/free drumbeat at attack
+        // and serving scale.
+        util::Workspace& tws = util::Workspace::local();
+        util::Workspace::Scope chunk_scope(tws);
+        float* state_i = tws.alloc<float>(static_cast<std::size_t>(len));
+        float* state_v = tws.alloc<float>(static_cast<std::size_t>(len));
+        float* state_b = tws.alloc<float>(static_cast<std::size_t>(len));
+        std::fill(state_i, state_i + len, 0.0f);
+        std::fill(state_v, state_v + len, 0.0f);
+        std::fill(state_b, state_b + len, 0.0f);
+        for (std::int64_t t = 0; t < time_steps_; ++t) {
+          const std::int64_t off = t * per_step + lo;
+          alif_step(params_, len, px + off, state_i, state_v, state_b, pz + off,
+                    pvd + off, pb + off);
+        }
+      });
 
   double spike_sum = 0.0;
   for (std::int64_t i = 0; i < z.numel(); ++i) spike_sum += pz[i];
@@ -168,32 +170,34 @@ Tensor AlifLayer::backward(const Tensor& grad_out) {
   const float* pb = adaptation_.data();
   float* pdx = dx.data();
 
-  util::parallel_for_chunked(0, per_step, [&](std::int64_t lo, std::int64_t hi) {
-    const std::int64_t len = hi - lo;
-    std::vector<float> gv(static_cast<std::size_t>(len), 0.0f);
-    std::vector<float> gi(static_cast<std::size_t>(len), 0.0f);
-    std::vector<float> gb(static_cast<std::size_t>(len), 0.0f);
-    for (std::int64_t t = time_steps_ - 1; t >= 0; --t) {
-      const std::int64_t off = t * per_step + lo;
-      for (std::int64_t k = 0; k < len; ++k) {
-        const float vd = pvd[off + k];
-        const float z = pz[off + k];
-        const float b0 = pb[off + k];
-        const float carry_v = gv[static_cast<std::size_t>(k)];
-        const float carry_i = gi[static_cast<std::size_t>(k)];
-        const float carry_b = gb[static_cast<std::size_t>(k)];
-        pdx[off + k] = carry_i;
-        const float theta = p.v_th + beta * b0;
-        const float s = sg.grad(vd - theta);
-        const float tdz = gz[off + k] + carry_v * (p.v_reset - vd) +
-                          carry_b * (1.0f - rho);
-        const float gvd = carry_v * (1.0f - z) + tdz * s;
-        gv[static_cast<std::size_t>(k)] = gvd * (1.0f - a);
-        gi[static_cast<std::size_t>(k)] = gvd * a + carry_i * bsyn;
-        gb[static_cast<std::size_t>(k)] = carry_b * rho - tdz * beta * s;
-      }
-    }
-  });
+  util::parallel_for_chunked(
+      0, per_step, per_step * time_steps_,
+      [&](std::int64_t lo, std::int64_t hi) {
+        const std::int64_t len = hi - lo;
+        std::vector<float> gv(static_cast<std::size_t>(len), 0.0f);
+        std::vector<float> gi(static_cast<std::size_t>(len), 0.0f);
+        std::vector<float> gb(static_cast<std::size_t>(len), 0.0f);
+        for (std::int64_t t = time_steps_ - 1; t >= 0; --t) {
+          const std::int64_t off = t * per_step + lo;
+          for (std::int64_t k = 0; k < len; ++k) {
+            const float vd = pvd[off + k];
+            const float z = pz[off + k];
+            const float b0 = pb[off + k];
+            const float carry_v = gv[static_cast<std::size_t>(k)];
+            const float carry_i = gi[static_cast<std::size_t>(k)];
+            const float carry_b = gb[static_cast<std::size_t>(k)];
+            pdx[off + k] = carry_i;
+            const float theta = p.v_th + beta * b0;
+            const float s = sg.grad(vd - theta);
+            const float tdz = gz[off + k] + carry_v * (p.v_reset - vd) +
+                              carry_b * (1.0f - rho);
+            const float gvd = carry_v * (1.0f - z) + tdz * s;
+            gv[static_cast<std::size_t>(k)] = gvd * (1.0f - a);
+            gi[static_cast<std::size_t>(k)] = gvd * a + carry_i * bsyn;
+            gb[static_cast<std::size_t>(k)] = carry_b * rho - tdz * beta * s;
+          }
+        }
+      });
   return dx;
 }
 

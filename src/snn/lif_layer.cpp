@@ -50,17 +50,19 @@ Tensor LifLayer::forward(const Tensor& x, nn::Mode mode) {
   // independently through all T steps, accumulating its share of the spike
   // count while the rows are still hot instead of re-reading z serially.
   std::atomic<double> spike_sum{0.0};
-  util::parallel_for_chunked(0, per_step, [&](std::int64_t lo, std::int64_t hi) {
-    double local_sum = 0.0;
-    for (std::int64_t t = 0; t < time_steps_; ++t) {
-      const std::int64_t off = t * per_step;
-      lif_step(params_, hi - lo, px + off + lo, state_i + lo, state_v + lo,
-               pz + off + lo, pvd + off + lo);
-      const float* zrow = pz + off + lo;
-      for (std::int64_t k = 0; k < hi - lo; ++k) local_sum += zrow[k];
-    }
-    spike_sum.fetch_add(local_sum, std::memory_order_relaxed);
-  });
+  util::parallel_for_chunked(
+      0, per_step, per_step * time_steps_,
+      [&](std::int64_t lo, std::int64_t hi) {
+        double local_sum = 0.0;
+        for (std::int64_t t = 0; t < time_steps_; ++t) {
+          const std::int64_t off = t * per_step;
+          lif_step(params_, hi - lo, px + off + lo, state_i + lo, state_v + lo,
+                   pz + off + lo, pvd + off + lo);
+          const float* zrow = pz + off + lo;
+          for (std::int64_t k = 0; k < hi - lo; ++k) local_sum += zrow[k];
+        }
+        spike_sum.fetch_add(local_sum, std::memory_order_relaxed);
+      });
   if (fault_.any()) {
     // Faults rewrite z, so the fused count is stale: redo it on the (rare,
     // evaluation-only) fault path.
@@ -109,34 +111,36 @@ Tensor LifLayer::backward(const Tensor& grad_out) {
   const float* pz = spikes_.data();
   float* pdx = dx.data();
 
-  util::parallel_for_chunked(0, per_step, [&](std::int64_t lo, std::int64_t hi) {
-    const std::int64_t len = hi - lo;
-    // Carry buffers come from the worker thread's arena — BPTT is invoked
-    // once per training batch and per attack step, so per-call vectors here
-    // were a steady malloc/free drumbeat.
-    util::Workspace& tws = util::Workspace::local();
-    util::Workspace::Scope chunk_scope(tws);
-    float* gv = tws.alloc<float>(static_cast<std::size_t>(len));
-    float* gi = tws.alloc<float>(static_cast<std::size_t>(len));
-    std::fill(gv, gv + len, 0.0f);
-    std::fill(gi, gi + len, 0.0f);
-    for (std::int64_t t = time_steps_ - 1; t >= 0; --t) {
-      const std::int64_t off = t * per_step + lo;
-      for (std::int64_t k = 0; k < len; ++k) {
-        const float vd = pvd[off + k];
-        const float z = pz[off + k];
-        const float carry_v = gv[k];
-        const float carry_i = gi[k];
-        // dL/dx_t: x enters i_t directly.
-        pdx[off + k] = carry_i;
-        // Spike gradient: external + reset gate contribution.
-        const float tdz = gz[off + k] + carry_v * (v_reset - vd);
-        const float gvd = carry_v * (1.0f - z) + tdz * sg.grad(vd - v_th);
-        gv[k] = gvd * (1.0f - a);
-        gi[k] = gvd * a + carry_i * b;
-      }
-    }
-  });
+  util::parallel_for_chunked(
+      0, per_step, per_step * time_steps_,
+      [&](std::int64_t lo, std::int64_t hi) {
+        const std::int64_t len = hi - lo;
+        // Carry buffers come from the worker thread's arena — BPTT is invoked
+        // once per training batch and per attack step, so per-call vectors here
+        // were a steady malloc/free drumbeat.
+        util::Workspace& tws = util::Workspace::local();
+        util::Workspace::Scope chunk_scope(tws);
+        float* gv = tws.alloc<float>(static_cast<std::size_t>(len));
+        float* gi = tws.alloc<float>(static_cast<std::size_t>(len));
+        std::fill(gv, gv + len, 0.0f);
+        std::fill(gi, gi + len, 0.0f);
+        for (std::int64_t t = time_steps_ - 1; t >= 0; --t) {
+          const std::int64_t off = t * per_step + lo;
+          for (std::int64_t k = 0; k < len; ++k) {
+            const float vd = pvd[off + k];
+            const float z = pz[off + k];
+            const float carry_v = gv[k];
+            const float carry_i = gi[k];
+            // dL/dx_t: x enters i_t directly.
+            pdx[off + k] = carry_i;
+            // Spike gradient: external + reset gate contribution.
+            const float tdz = gz[off + k] + carry_v * (v_reset - vd);
+            const float gvd = carry_v * (1.0f - z) + tdz * sg.grad(vd - v_th);
+            gv[k] = gvd * (1.0f - a);
+            gi[k] = gvd * a + carry_i * b;
+          }
+        }
+      });
   return dx;
 }
 

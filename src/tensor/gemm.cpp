@@ -165,7 +165,6 @@ void gemm_dense(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                 const float* b, std::int64_t ldb, float beta, float* c,
                 std::int64_t ldc) {
   util::Workspace& ws = util::Workspace::local();
-  const bool parallel = (m * n * k) >= (std::int64_t{1} << 16);
   for (std::int64_t jc = 0; jc < n; jc += kNC) {
     const std::int64_t nb = std::min(kNC, n - jc);
     const std::int64_t nb_pad = round_up(nb, kNR);
@@ -191,10 +190,7 @@ void gemm_dense(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                       alpha, beta_eff);
         }
       };
-      if (!parallel || ic_blocks == 1)
-        run_blocks(0, ic_blocks);
-      else
-        util::parallel_for_chunked(0, ic_blocks, run_blocks);
+      util::parallel_for_chunked(0, ic_blocks, m * nb * kb, run_blocks);
     }
   }
 }

@@ -152,10 +152,7 @@ EventRows build_event_rows(const float* a, std::int64_t lda, std::int64_t rows,
       cnt[i] = c;
     }
   };
-  if (rows * cols < (std::int64_t{1} << 16))
-    build_rows(0, rows);
-  else
-    util::parallel_for_chunked(0, rows, build_rows);
+  util::parallel_for_chunked(0, rows, rows * cols, build_rows);
   ev.count = cnt;
   ev.index = idx;
   ev.value = val;
@@ -201,7 +198,7 @@ EventRows build_conv_events(const ConvGeometry& g, const float* images,
   const std::int32_t* in_cnt = in_ev.count;
   const std::int32_t* in_idx = in_ev.index;
   const float* in_val = in_ev.value;
-  util::parallel_for(0, batch, [=](std::int64_t i) {
+  util::parallel_for(0, batch, ev.rows * patch, [=](std::int64_t i) {
     util::Workspace& tws = util::Workspace::local();
     util::Workspace::Scope scope(tws);
     std::int32_t* cur = tws.alloc<std::int32_t>(static_cast<std::size_t>(ow));
@@ -262,7 +259,9 @@ void conv_events_packed(const ConvGeometry& g, const float* images,
   const std::int32_t* idx = in_ev.index;
   const float* val = in_ev.value;
   const std::int64_t sample_rows = g.channels * g.height;
-  util::parallel_for(0, batch, [=](std::int64_t i) {
+  // Work as if every input were a spike: a shape bound, not a data probe.
+  const std::int64_t work = batch * ohw * g.patch_size() * cout;
+  util::parallel_for(0, batch, work, [=](std::int64_t i) {
     float* cti = ct + i * ohw * cout;
     std::fill(cti, cti + ohw * cout, 0.0f);
     conv_scatter_sample(g, oh, ow, cnt + i * sample_rows,
@@ -329,12 +328,9 @@ void gemm_events_packed(const EventRows& ev, std::int64_t n, float alpha,
       event_accum_row(cnt[i], idx + i * stride, val + i * stride, bp, n,
                       alpha, beta, c + i * ldc, acc);
   };
-  // Same size threshold as the dense/sparse kernels — a shape property, not
-  // a data property, so the schedule is deterministic per call site.
-  if ((ev.rows * n * k) < (std::int64_t{1} << 16))
-    row_panel(0, ev.rows);
-  else
-    util::parallel_for_chunked(0, ev.rows, row_panel);
+  // Work from the shape, not from the event counts, so the schedule is
+  // deterministic per call site.
+  util::parallel_for_chunked(0, ev.rows, ev.rows * n * k, row_panel);
 }
 
 void gemm_events(const EventRows& ev, Trans trans_b, std::int64_t n,

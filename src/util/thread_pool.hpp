@@ -109,17 +109,27 @@ void parallel_for_chunked_impl(std::int64_t begin, std::int64_t end,
                                std::int64_t workers, ChunkFnRef fn);
 }  // namespace detail
 
+/// The library's one fan-out rule: a range whose declared work is below
+/// this many element operations runs inline on the caller. A fan-out pays a
+/// wake and a join per pool thread, microseconds that only ranges of this
+/// size earn back; a batch-1 serving step has no stage this large.
+inline constexpr std::int64_t kMinParallelWork = std::int64_t{1} << 16;
+
 /// Hand contiguous [lo, hi) chunks of [begin, end) to the global pool and
-/// block until all finish. Exceptions thrown by fn are rethrown on the
-/// caller (first one wins). Serial — calling fn directly — when the range is
-/// empty, the pool has one thread, or the caller is itself a pool worker.
-/// The parallel path runs chunk i on pool thread i, passing fn by reference
-/// to tasks posted from a stack-resident job; neither path allocates.
+/// block until all finish. `work` is the whole range's inner-loop element
+/// operations (multiply-adds, copies), computed by the caller from the
+/// shapes it already has. Exceptions thrown by fn are rethrown on the
+/// caller (first one wins). Inline — fn(begin, end) on the caller — when
+/// the range is empty, work < kMinParallelWork, the pool has one thread,
+/// or the caller is itself a pool worker. The parallel path runs chunk i
+/// on pool thread i, passing fn by reference to tasks posted from a
+/// stack-resident job; neither path allocates.
 template <typename Fn>
-void parallel_for_chunked(std::int64_t begin, std::int64_t end, Fn&& fn) {
+void parallel_for_chunked(std::int64_t begin, std::int64_t end,
+                          std::int64_t work, Fn&& fn) {
   const std::int64_t n = end - begin;
   if (n <= 0) return;
-  if (inside_pool_worker()) {  // nested parallelism runs serially
+  if (work < kMinParallelWork || inside_pool_worker()) {
     fn(begin, end);
     return;
   }
@@ -138,20 +148,15 @@ void parallel_for_chunked(std::int64_t begin, std::int64_t end, Fn&& fn) {
   detail::parallel_for_chunked_impl(begin, end, workers, ref);
 }
 
-/// Run fn(i) for i in [begin, end) across the global pool. Same serial
-/// fast-path and exception contract as parallel_for_chunked.
+/// Run fn(i) for i in [begin, end) across the global pool. Same `work`,
+/// inline rule and exception contract as parallel_for_chunked.
 template <typename Fn>
-void parallel_for(std::int64_t begin, std::int64_t end, Fn&& fn,
-                  std::int64_t grain = 1) {
-  const std::int64_t n = end - begin;
-  if (n <= 0) return;
-  if (n <= grain || inside_pool_worker() || ThreadPool::global().size() <= 1) {
-    for (std::int64_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  parallel_for_chunked(begin, end, [&fn](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) fn(i);
-  });
+void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t work,
+                  Fn&& fn) {
+  parallel_for_chunked(begin, end, work,
+                       [&fn](std::int64_t lo, std::int64_t hi) {
+                         for (std::int64_t i = lo; i < hi; ++i) fn(i);
+                       });
 }
 
 }  // namespace snnsec::util

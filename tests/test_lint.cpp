@@ -109,7 +109,7 @@ TEST(LintRng, JustifiedNolintSuppresses) {
 TEST(LintParallelCapture, FiresOnByRefWorkspaceUse) {
   const std::string src =
       "void f(util::Workspace& ws) {\n"                          // 1
-      "  util::parallel_for_chunked(0, n, [&](i64 lo, i64 hi) {\n"  // 2
+      "  util::parallel_for_chunked(0, n, work, [&](i64 lo, i64 hi) {\n"  // 2
       "    float* p = ws.alloc<float>(64);\n"                    // 3
       "    use(p, lo, hi);\n"
       "  });\n"
@@ -121,7 +121,7 @@ TEST(LintParallelCapture, FiresOnByRefWorkspaceUse) {
 TEST(LintParallelCapture, ThreadLocalGuardIsClean) {
   const std::string src =
       "void f() {\n"
-      "  util::parallel_for_chunked(0, n, [&](i64 lo, i64 hi) {\n"
+      "  util::parallel_for_chunked(0, n, work, [&](i64 lo, i64 hi) {\n"
       "    util::Workspace& ws = util::Workspace::local();\n"
       "    float* p = ws.alloc<float>(64);\n"
       "    use(p, lo, hi);\n"
@@ -134,7 +134,7 @@ TEST(LintParallelCapture, ThreadLocalGuardIsClean) {
 TEST(LintParallelCapture, ValueCaptureIsClean) {
   const std::string src =
       "void f(Plan plan) {\n"
-      "  util::parallel_for(0, n, [plan](i64 i) { run(plan, i); });\n"
+      "  util::parallel_for(0, n, work, [plan](i64 i) { run(plan, i); });\n"
       "}\n";
   const auto r = lint_source("src/nn/fake.cpp", src);
   EXPECT_TRUE(r.findings.empty());
@@ -150,7 +150,7 @@ TEST(LintParallelCapture, EventScatterPatternIsClean) {
       "void conv_events(const Geometry& g, util::Workspace& ws) {\n"
       "  float* wt = ws.alloc<float>(patch * cout);\n"
       "  const auto ev = build_event_rows(images, w, rows, w, ws);\n"
-      "  util::parallel_for(0, batch, [=](i64 i) {\n"
+      "  util::parallel_for(0, batch, work, [=](i64 i) {\n"
       "    scatter_sample(g, ev.count + i * r, ev.value + i * r * w, wt);\n"
       "  });\n"
       "}\n";
@@ -167,7 +167,7 @@ TEST(LintParallelCapture, EventBuildAntiPatternFires) {
       "void build(util::Workspace& ws) {\n"                        // 2
       "  std::vector<i32> idx;\n"                                  // 3
       "  idx.push_back(7);\n"                                      // 4
-      "  util::parallel_for(0, n, [&](i64 i) {\n"                  // 5
+      "  util::parallel_for(0, n, work, [&](i64 i) {\n"                  // 5
       "    float* p = ws.alloc<float>(64);\n"                      // 6
       "    scan(p, i);\n"                                          // 7
       "  });\n"
@@ -439,7 +439,7 @@ TEST(LintObs, JustifiedGeometryGrowthSuppresses) {
 TEST(LintServe, ParallelCaptureFiresOnServeWorkerPath) {
   const std::string src =
       "void Server::start_workers(util::Workspace& ws) {\n"          // 1
-      "  util::parallel_for_chunked(0, n, [&](i64 lo, i64 hi) {\n"   // 2
+      "  util::parallel_for_chunked(0, n, work, [&](i64 lo, i64 hi) {\n"   // 2
       "    float* p = ws.alloc<float>(64);\n"                        // 3
       "    warm(p, lo, hi);\n"
       "  });\n"

@@ -1,7 +1,7 @@
 // Event-driven spike kernels: compressed event lists, the event-accumulate
 // GEMM, both conv formulations (patch-list reference and production
-// scatter), and the zero-alloc steady state of the layers and of whole
-// AnytimeRunner batches.
+// scatter), the zero-alloc steady state of the layers and of whole
+// AnytimeRunner batches, and the fan-out a serving step does not make.
 //
 // The determinism assertions here are the teeth behind DESIGN.md §14: the
 // event kernels must be bit-identical across batch sizes and serial/parallel
@@ -17,12 +17,14 @@
 
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
+#include "obs/metrics.hpp"
 #include "snn/anytime.hpp"
 #include "snn/spiking_lenet.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/spike_events.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 #include "util/workspace.hpp"
 
 // Counting operator-new hook for the zero-allocation steady-state tests.
@@ -65,6 +67,17 @@ Tensor spike_operand(Shape shape, double rate, util::Rng& rng) {
   const float* pg = mag.data();
   for (std::int64_t i = 0; i < mask.numel(); ++i) pm[i] *= pg[i];
   return mask;
+}
+
+/// Tasks posted to the global pool so far: its pool.tasks counter.
+std::int64_t pool_tasks() {
+  return obs::Registry::instance().counter("pool.tasks").value();
+}
+
+/// Whether a fan-out would show in pool_tasks(): it needs a pool of more
+/// than one thread and the metrics registry on.
+bool fan_out_observable() {
+  return util::ThreadPool::global().size() > 1 && obs::Registry::enabled();
 }
 
 /// Naive dense reference for C = alpha * A * op(B) + beta * C.
@@ -400,18 +413,24 @@ TEST(Conv2dEvents, BatchedVsSingleBitIdentical) {
 TEST(Conv2dEvents, SteadyStateIsAllocationFree) {
   // After warm-up (workspace arenas grown, output tensor shaped), repeated
   // event-path forwards must not touch the heap. Counting operator-new hook
-  // at the top of this file.
+  // at the top of this file. The shape puts the scanline build, the scatter
+  // and the bias reorder all at or above the fan-out threshold, so on a
+  // multi-thread pool the gate covers the parallel path.
   const nn::Conv2dSpec spec{3, 8, 5, 1, 2};
   util::Rng rng(37);
   nn::Conv2d conv(spec, rng);
   conv.set_input_hint(tensor::SparsityHint::kEvents);
-  const Tensor x = spike_operand(Shape{4, 3, 12, 12}, 0.2, rng);
+  const Tensor x = spike_operand(Shape{8, 3, 64, 64}, 0.2, rng);
   Tensor y;
   for (int i = 0; i < 3; ++i) conv.forward_into(x, y, nn::Mode::kEval);
+  const std::int64_t tasks = pool_tasks();
   const std::int64_t before = g_allocs.load();
   for (int i = 0; i < 5; ++i) conv.forward_into(x, y, nn::Mode::kEval);
   EXPECT_EQ(g_allocs.load() - before, 0)
       << "event conv forward allocated on the steady state";
+  if (fan_out_observable()) {  // 3 fan-outs a call, >= 2 tasks each
+    EXPECT_GE(pool_tasks() - tasks, 5 * 3 * 2);
+  }
 }
 
 TEST(Conv2dEvents, PackedForwardMatchesForwardInto) {
@@ -452,16 +471,22 @@ TEST(LinearEvents, PackedForwardMatchesForwardInto) {
 }
 
 TEST(LinearEvents, SteadyStateIsAllocationFree) {
+  // Both the event-list build (64 x 1024) and the event GEMM reach the
+  // fan-out threshold.
   util::Rng rng(41);
-  nn::Linear fc(256, 64, rng);
+  nn::Linear fc(1024, 64, rng);
   fc.set_input_hint(tensor::SparsityHint::kEvents);
-  const Tensor x = spike_operand(Shape{16, 256}, 0.1, rng);
+  const Tensor x = spike_operand(Shape{64, 1024}, 0.1, rng);
   Tensor y;
   for (int i = 0; i < 3; ++i) fc.forward_into(x, y);
+  const std::int64_t tasks = pool_tasks();
   const std::int64_t before = g_allocs.load();
   for (int i = 0; i < 5; ++i) fc.forward_into(x, y);
   EXPECT_EQ(g_allocs.load() - before, 0)
       << "event linear forward allocated on the steady state";
+  if (fan_out_observable()) {  // 2 fan-outs a call, >= 2 tasks each
+    EXPECT_GE(pool_tasks() - tasks, 5 * 2 * 2);
+  }
 }
 
 TEST(AnytimeRunnerEvents, RepeatedBatchesAreAllocationFree) {
@@ -469,9 +494,10 @@ TEST(AnytimeRunnerEvents, RepeatedBatchesAreAllocationFree) {
   // event-kernel weight (conv1-3, fc1-2) into its warm buffer and each
   // step() runs the event conv and linear kernels on them. Once warm, whole
   // batches must not touch the heap. The low threshold and weight gain make
-  // every spiking layer fire within the window.
-  nn::LenetSpec arch = nn::LenetSpec{}.scaled(0.25);
-  arch.image_size = 8;
+  // every spiking layer fire within the window; batch 8 on 16x16 inputs
+  // puts the conv scatters past the fan-out threshold.
+  nn::LenetSpec arch = nn::LenetSpec{}.scaled(0.5);
+  arch.image_size = 16;
   snn::SnnConfig cfg;
   cfg.v_th = 0.25;
   cfg.weight_gain = 6.0;
@@ -479,9 +505,10 @@ TEST(AnytimeRunnerEvents, RepeatedBatchesAreAllocationFree) {
   cfg.input_gain = 3.0;
   util::Rng rng(43);
   auto model = snn::build_spiking_lenet(arch, cfg, rng);
-  const Tensor x = Tensor::rand_uniform(Shape{4, 1, 8, 8}, rng);
+  const Tensor x = Tensor::rand_uniform(Shape{8, 1, 16, 16}, rng);
   snn::AnytimeRunner runner(*model);
   for (int i = 0; i < 2; ++i) runner.run(x);
+  const std::int64_t tasks = pool_tasks();
   const std::int64_t before = g_allocs.load();
   for (int i = 0; i < 3; ++i) {
     runner.begin(x);
@@ -489,6 +516,29 @@ TEST(AnytimeRunnerEvents, RepeatedBatchesAreAllocationFree) {
   }
   EXPECT_EQ(g_allocs.load() - before, 0)
       << "begin() + T x step() allocated on the steady state";
+  if (fan_out_observable()) {
+    EXPECT_GT(pool_tasks() - tasks, 0);
+  }
+}
+
+TEST(AnytimeRunnerEvents, Batch1StepPostsNoPoolTasks) {
+  // No stage of a batch-1 serving step reaches the fan-out threshold, so a
+  // warm request runs wholly on its calling thread: a multi-thread pool must
+  // not cost each stage a wake and a join. ctest runs this on a 4-thread
+  // pool (test_tensor_events_b1_threads4).
+  if (!obs::Registry::enabled()) GTEST_SKIP() << "metrics off: no pool.tasks";
+  snn::SnnConfig cfg;
+  cfg.time_steps = 8;
+  util::Rng rng(53);
+  auto model = snn::build_spiking_lenet(nn::LenetSpec{}, cfg, rng);
+  const Tensor x = Tensor::rand_uniform(Shape{1, 1, 28, 28}, rng);
+  snn::AnytimeRunner runner(*model);
+  runner.run(x);
+  const std::int64_t tasks = pool_tasks();
+  runner.begin(x);
+  while (!runner.done()) runner.step();
+  EXPECT_EQ(pool_tasks() - tasks, 0)
+      << "a warm batch-1 begin() + T x step() fanned out to the pool";
 }
 
 }  // namespace

@@ -55,39 +55,43 @@ TEST(ThreadPool, RunsEveryPostedTask) {
   EXPECT_EQ(count.load(), 100);
 }
 
+// Work at the fan-out threshold: the range goes to the pool whenever it has
+// more than one thread.
+constexpr std::int64_t kFanOut = kMinParallelWork;
+
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   constexpr std::int64_t kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
-  parallel_for(0, kN, [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; });
+  parallel_for(0, kN, kFanOut,
+               [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, EmptyAndReversedRangesAreNoops) {
   std::atomic<int> count{0};
-  parallel_for(5, 5, [&](std::int64_t) { count++; });
-  parallel_for(7, 3, [&](std::int64_t) { count++; });
+  parallel_for(5, 5, kFanOut, [&](std::int64_t) { count++; });
+  parallel_for(7, 3, kFanOut, [&](std::int64_t) { count++; });
   EXPECT_EQ(count.load(), 0);
 }
 
 TEST(ParallelFor, NonZeroBegin) {
   std::atomic<std::int64_t> sum{0};
-  parallel_for(10, 20, [&](std::int64_t i) { sum += i; });
+  parallel_for(10, 20, kFanOut, [&](std::int64_t i) { sum += i; });
   EXPECT_EQ(sum.load(), 145);  // 10+...+19
 }
 
 TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(
-      parallel_for(0, 1000,
-                   [](std::int64_t i) {
-                     if (i == 513) throw Error("boom");
-                   }),
-      Error);
+  EXPECT_THROW(parallel_for(0, 1000, kFanOut,
+                            [](std::int64_t i) {
+                              if (i == 513) throw Error("boom");
+                            }),
+               Error);
 }
 
 TEST(ParallelForChunked, ChunksPartitionTheRange) {
   constexpr std::int64_t kN = 5000;
   std::vector<std::atomic<int>> hits(kN);
-  parallel_for_chunked(0, kN, [&](std::int64_t lo, std::int64_t hi) {
+  parallel_for_chunked(0, kN, kFanOut, [&](std::int64_t lo, std::int64_t hi) {
     ASSERT_LE(lo, hi);
     for (std::int64_t i = lo; i < hi; ++i)
       hits[static_cast<std::size_t>(i)]++;
@@ -98,18 +102,52 @@ TEST(ParallelForChunked, ChunksPartitionTheRange) {
 TEST(ParallelFor, NestedCallsDegradeToSerial) {
   // A worker thread calling parallel_for must not deadlock.
   std::atomic<std::int64_t> total{0};
-  parallel_for(0, 32, [&](std::int64_t) {
-    parallel_for(0, 32, [&](std::int64_t) { total++; });
+  parallel_for(0, 32, kFanOut, [&](std::int64_t) {
+    parallel_for(0, 32, kFanOut, [&](std::int64_t) { total++; });
   });
   EXPECT_EQ(total.load(), 32 * 32);
 }
 
-TEST(ParallelFor, LargeGrainRunsSerially) {
-  std::vector<int> hits(100, 0);  // not atomic: serial execution expected
-  parallel_for(
-      0, 100, [&](std::int64_t i) { hits[static_cast<std::size_t>(i)]++; },
-      /*grain=*/1000);
-  for (const int h : hits) EXPECT_EQ(h, 1);
+TEST(ParallelForChunked, SmallWorkRunsOnceOnTheCallingThread) {
+  // Below the threshold the whole range is one inline call: no chunking,
+  // no pool thread, whatever the pool size.
+  struct Call {
+    std::int64_t lo, hi;
+    std::thread::id thread;
+  };
+  std::vector<Call> calls;  // not guarded: a single inline call expected
+  parallel_for_chunked(0, 100, kMinParallelWork - 1,
+                       [&calls](std::int64_t lo, std::int64_t hi) {
+                         calls.push_back({lo, hi, std::this_thread::get_id()});
+                       });
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0].lo, 0);
+  EXPECT_EQ(calls[0].hi, 100);
+  EXPECT_EQ(calls[0].thread, std::this_thread::get_id());
+
+  std::vector<std::thread::id> ids(100);
+  parallel_for(0, 100, kMinParallelWork - 1, [&ids](std::int64_t i) {
+    ids[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+  });
+  for (const std::thread::id id : ids)
+    EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(ParallelForChunked, WorkAtTheThresholdFansOut) {
+  // The counterpart: at the threshold every chunk runs on a pool thread, so
+  // the tests that pass kFanOut do reach the fan-out and its join.
+  const auto threads =
+      static_cast<std::int64_t>(ThreadPool::global().size());
+  if (threads < 2) GTEST_SKIP() << "one-thread pool runs every range inline";
+  std::vector<std::thread::id> ids(static_cast<std::size_t>(threads));
+  parallel_for_chunked(0, threads, kFanOut,
+                       [&ids](std::int64_t lo, std::int64_t hi) {
+                         for (std::int64_t i = lo; i < hi; ++i)
+                           ids[static_cast<std::size_t>(i)] =
+                               std::this_thread::get_id();
+                       });
+  for (const std::thread::id id : ids)
+    EXPECT_NE(id, std::this_thread::get_id());
 }
 
 std::atomic<int> g_task_exceptions{0};
@@ -152,7 +190,7 @@ TEST(ThreadPool, ThrowingTaskOnGlobalPoolLeavesParallelForWorking) {
   drain(pool, 0);
   // Subsequent parallel_for_chunked calls on the same pool must be intact.
   std::atomic<std::int64_t> sum{0};
-  parallel_for_chunked(0, 1000, [&](std::int64_t lo, std::int64_t hi) {
+  parallel_for_chunked(0, 1000, kFanOut, [&](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i) sum += i;
   });
   EXPECT_EQ(sum.load(), 499500);
@@ -164,16 +202,17 @@ TEST(ParallelForChunked, PropagatesFirstExceptionWithoutHanging) {
   // leave the pool wedged for later work.
   for (int round = 0; round < 20; ++round) {
     try {
-      parallel_for_chunked(0, 10000, [&](std::int64_t lo, std::int64_t) {
-        throw Error("chunk " + std::to_string(lo));
-      });
+      parallel_for_chunked(
+          0, 10000, kFanOut, [&](std::int64_t lo, std::int64_t) {
+            throw Error("chunk " + std::to_string(lo));
+          });
       FAIL() << "expected an exception";
     } catch (const Error& e) {
       EXPECT_NE(std::string(e.what()).find("chunk"), std::string::npos);
     }
   }
   std::atomic<int> count{0};
-  parallel_for(0, 100, [&](std::int64_t) { count++; });
+  parallel_for(0, 100, kFanOut, [&](std::int64_t) { count++; });
   EXPECT_EQ(count.load(), 100);
 }
 
@@ -182,14 +221,15 @@ TEST(ParallelForStress, ManyTinyRangesJoinCleanly) {
   // the completion count, released the lock and only then notified the
   // stack-resident condition variable — by which time the caller could have
   // seen the final count, returned and reused that stack frame. Many tiny
-  // back-to-back ranges make the window as likely as it gets; ctest also
+  // back-to-back ranges, each declared at the fan-out threshold so it does
+  // reach the pool, make the window as likely as it gets; ctest also
   // runs this test with SNNSEC_THREADS=4 (test_util_threadpool_stress) so
   // the join is exercised on any host.
   std::int64_t total = 0;
   for (int round = 0; round < 20000; ++round) {
     const std::int64_t n = 2 + round % 3;
     std::atomic<std::int64_t> sum{0};
-    parallel_for(0, n, [&sum](std::int64_t i) { sum += i + 1; });
+    parallel_for(0, n, kFanOut, [&sum](std::int64_t i) { sum += i + 1; });
     total += sum.load();
   }
   std::int64_t want = 0;
@@ -271,10 +311,11 @@ TEST(ParallelForChunked, RunsEachChunkOnTheSameThreadEveryCall) {
   std::vector<std::thread::id> first(kN), again(kN);
   for (int round = 0; round < 50; ++round) {
     std::vector<std::thread::id>& ids = round == 0 ? first : again;
-    parallel_for_chunked(0, kN, [&ids](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t i = lo; i < hi; ++i)
-        ids[static_cast<std::size_t>(i)] = std::this_thread::get_id();
-    });
+    parallel_for_chunked(
+        0, kN, kFanOut, [&ids](std::int64_t lo, std::int64_t hi) {
+          for (std::int64_t i = lo; i < hi; ++i)
+            ids[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+        });
     if (round > 0) {
       EXPECT_EQ(again, first) << "round " << round;
     }

@@ -121,14 +121,15 @@ TEST(Workspace, LocalIsPerThread) {
 TEST(Workspace, PoolWorkersAllocateConcurrentlyWithoutAliasing) {
   // Each parallel chunk fills its own arena allocation with a chunk-unique
   // value; any cross-thread aliasing would show up as torn contents.
-  parallel_for_chunked(0, 64, [](std::int64_t lo, std::int64_t) {
-    Workspace& ws = Workspace::local();
-    Workspace::Scope scope(ws);
-    const float tag = static_cast<float>(lo);
-    float* p = ws.alloc<float>(20000);
-    for (int i = 0; i < 20000; ++i) p[i] = tag;
-    for (int i = 0; i < 20000; ++i) ASSERT_EQ(p[i], tag);
-  });
+  parallel_for_chunked(
+      0, 64, kMinParallelWork, [](std::int64_t lo, std::int64_t) {
+        Workspace& ws = Workspace::local();
+        Workspace::Scope scope(ws);
+        const float tag = static_cast<float>(lo);
+        float* p = ws.alloc<float>(20000);
+        for (int i = 0; i < 20000; ++i) p[i] = tag;
+        for (int i = 0; i < 20000; ++i) ASSERT_EQ(p[i], tag);
+      });
 }
 
 TEST(Workspace, RejectsBadAlignment) {
